@@ -58,6 +58,7 @@ class Connection:
         self.sock = sock
         self._rfile = sock.makefile("rb")
         self._wlock = threading.Lock()
+        self._closed = False
         self.peer = "?"
         try:
             name = sock.getpeername()
@@ -71,7 +72,21 @@ class Connection:
             self.sock.sendall(data)
 
     def recv(self) -> Frame | None:
-        """Read one frame; returns None on clean EOF at a frame boundary."""
+        """Read one frame; returns None on clean EOF at a frame boundary.
+
+        After a local close() it raises ConnectionAbortedError, so readers
+        treat a closed connection like a lost one.
+        """
+        try:
+            return self._recv()
+        except ValueError as exc:
+            # closing the buffered file under a blocked reader surfaces as
+            # ValueError from the io layer, not as an OSError
+            if self._closed:
+                raise ConnectionAbortedError("connection closed locally") from exc
+            raise
+
+    def _recv(self) -> Frame | None:
         header = self._rfile.readline(MAX_HEADER + 1)
         if not header:
             return None
@@ -94,6 +109,7 @@ class Connection:
         return data
 
     def close(self) -> None:
+        self._closed = True
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

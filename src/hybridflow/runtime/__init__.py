@@ -5,7 +5,7 @@ from .model import (
     stream_in, stream_out,
 )
 from .registry import register, resolve
-from .scheduler import locality_score, pick_next, ready_set
+from .scheduler import locality_score, pick_next
 
 __all__ = [
     "Runtime", "current_runtime",
@@ -14,5 +14,5 @@ __all__ = [
     "file_in", "file_out", "obj_in", "obj_inout", "obj_out",
     "stream_in", "stream_out",
     "register", "resolve",
-    "locality_score", "pick_next", "ready_set",
+    "locality_score", "pick_next",
 ]

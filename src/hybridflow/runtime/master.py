@@ -1,8 +1,10 @@
 """Workflow master: dependency analysis, event-driven scheduling, executors.
 
-The main program submits tasks and blocks only in wait_on/barrier. A single
-scheduler thread owns the graph and resource state: it promotes ready tasks,
-applies producer priority and locality, and dispatches. Dispatch performs the
+The main program submits tasks and blocks only in wait_on/barrier. Readiness
+is event-driven: a submit whose inputs are all DONE, a completion promoting
+its successors, or a first failure sent back for retry puts a task in the
+ready set. A single scheduler thread chooses from that set only, applying
+producer priority and locality, and dispatches. Dispatch performs the
 input staging (value encoding and, for remote workers, the socket send) in
 that one thread, mirroring a master that funnels every transfer through its
 own I/O path; execution itself is concurrent across workers and slots.
@@ -149,9 +151,11 @@ class Runtime:
         self._resources: dict[str, ResourceState] = {}
         self._executors: dict[str, _LocalWorker | _RemoteWorker] = {}
         self._task_seq = 0
-        # tasks still schedulable (REGISTERED/READY); keeps the scheduling
-        # pass independent of how many tasks the runtime has ever finished
-        self._pending: set[int] = set()
+        # READY tasks not yet dispatched: the only tasks a scheduling pass
+        # looks at, so dispatch cost follows the ready count, not the backlog
+        self._ready: dict[int, TaskDescriptor] = {}
+        # submitted tasks not yet DONE or FAILED
+        self._outstanding = 0
         self._dirty = False
         self._stopped = False
         self._exec_started: dict[int, float] = {}
@@ -198,12 +202,10 @@ class Runtime:
                 raise UnknownData(data_id)
             if writer_id is not None:
                 writer = self.graph.nodes[writer_id]
-                deadline = None if timeout_s is None else time.monotonic() + timeout_s
-                while writer.state not in (TaskState.DONE, TaskState.FAILED):
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(f"wait_on({data_id!r})")
-                    self._cond.wait(0.1 if remaining is None else min(0.1, remaining))
+                if not self._cond.wait_for(
+                        lambda: writer.state in (TaskState.DONE, TaskState.FAILED),
+                        timeout_s):
+                    raise TimeoutError(f"wait_on({data_id!r})")
                 if writer.state is TaskState.FAILED:
                     raise ExecutionFailure(
                         f"writer task {writer_id} of {data_id!r} failed: {writer.error}")
@@ -214,14 +216,8 @@ class Runtime:
 
     def barrier(self, timeout_s: float | None = None) -> bool:
         """Wait until every submitted task is DONE or FAILED."""
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         with self._cond:
-            while any(t.state not in (TaskState.DONE, TaskState.FAILED)
-                      for t in self.graph.nodes.values()):
-                if deadline is not None and time.monotonic() >= deadline:
-                    return False
-                self._cond.wait(0.1)
-            return True
+            return self._cond.wait_for(lambda: self._outstanding == 0, timeout_s)
 
     # -- task submission --
 
@@ -245,7 +241,9 @@ class Runtime:
             task = TaskDescriptor(task_id=self._task_seq, method=method,
                                   params=list(params), cores_required=cores_required)
             self.graph.add_task(task)
-            self._pending.add(task.task_id)
+            self._outstanding += 1
+            if task.state is TaskState.READY:
+                self._ready[task.task_id] = task
             task.timings.analysis_ms = (time.perf_counter() - t0) * 1000.0
             self._dirty = True
             self._cond.notify_all()
@@ -272,23 +270,15 @@ class Runtime:
         while True:
             with self._lock:
                 t0 = time.perf_counter()
-                ready = []
-                for tid in self._pending:
-                    task = self.graph.nodes[tid]
-                    if self.graph.deps_satisfied(tid):
-                        if task.state is TaskState.REGISTERED:
-                            task.move_to(TaskState.READY)
-                        ready.append(task)
-                resources = list(self._resources.values())
-                choice = pick_next(ready, resources)
+                choice = pick_next(list(self._ready.values()),
+                                   list(self._resources.values()))
                 if choice is None:
                     return
                 task_id, worker_id = choice
-                task = self.graph.nodes[task_id]
+                task = self._ready.pop(task_id)
                 resource = self._resources[worker_id]
                 resource.acquire(task.cores_required)
                 task.move_to(TaskState.SCHEDULED)
-                self._pending.discard(task_id)
                 task.worker = worker_id
                 task.timings.schedule_ms = (time.perf_counter() - t0) * 1000.0
                 for sid in task.stream_ids(Direction.OUT):
@@ -318,16 +308,19 @@ class Runtime:
                         self._store[str(p.value_ref)] = outcome.outs[idx]
                     if p.writes_data and resource is not None:
                         resource.data_locations.add(str(p.value_ref))
-                task.move_to(TaskState.DONE)
+                for promoted in self.graph.complete(task.task_id):
+                    self._ready[promoted.task_id] = promoted
+                self._outstanding -= 1
             elif task.attempts == 0:
                 task.attempts = 1
                 task.excluded_workers.add(worker_id)
                 task.error = outcome.error
                 task.move_to(TaskState.READY)
-                self._pending.add(task.task_id)
+                self._ready[task.task_id] = task
             else:
                 task.error = outcome.error
                 task.move_to(TaskState.FAILED)
+                self._outstanding -= 1
             self._dirty = True
             self._cond.notify_all()
 

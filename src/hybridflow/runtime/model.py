@@ -148,6 +148,10 @@ class DependencyGraph:
 
     STREAM parameters never create edges: writer/reader associations go to
     stream_links so producer and consumer tasks stay concurrently runnable.
+
+    Readiness is kept incrementally: each task counts its writers that were
+    not DONE when it was added, and complete() decrements the counters of
+    the finished task's successors, so no query ever rescans the graph.
     """
 
     nodes: dict[int, TaskDescriptor] = field(default_factory=dict)
@@ -156,10 +160,15 @@ class DependencyGraph:
     stream_readers: list[tuple[int, str]] = field(default_factory=list)
     last_writer: dict[str, int] = field(default_factory=dict)
     incoming: dict[int, set[int]] = field(default_factory=dict)
+    outgoing: dict[int, set[int]] = field(default_factory=dict)
+    unmet: dict[int, int] = field(default_factory=dict)
 
     def add_task(self, task: TaskDescriptor) -> None:
+        """Record task's edges; a REGISTERED task with no unmet writer becomes READY."""
         self.nodes[task.task_id] = task
-        self.incoming[task.task_id] = set()
+        incoming: set[int] = set()
+        self.incoming[task.task_id] = incoming
+        self.outgoing[task.task_id] = set()
         for p in task.params:
             if p.ptype is ParamType.STREAM:
                 sid = p.stream_id
@@ -173,16 +182,30 @@ class DependencyGraph:
                 writer = self.last_writer.get(ref)
                 if writer is not None and writer != task.task_id:
                     self.edges.append((writer, task.task_id, ref))
-                    self.incoming[task.task_id].add(writer)
+                    incoming.add(writer)
+                    self.outgoing[writer].add(task.task_id)
         for p in task.params:
             if p.writes_data:
                 self.last_writer[str(p.value_ref)] = task.task_id
+        unmet = sum(1 for w in incoming if self.nodes[w].state is not TaskState.DONE)
+        self.unmet[task.task_id] = unmet
+        if unmet == 0 and task.state is TaskState.REGISTERED:
+            task.move_to(TaskState.READY)
+
+    def complete(self, task_id: int) -> list[TaskDescriptor]:
+        """Mark task_id DONE; return the successors this made READY, in O(out-degree)."""
+        self.nodes[task_id].move_to(TaskState.DONE)
+        promoted = []
+        for succ in self.outgoing[task_id]:
+            self.unmet[succ] -= 1
+            task = self.nodes[succ]
+            if self.unmet[succ] == 0 and task.state is TaskState.REGISTERED:
+                task.move_to(TaskState.READY)
+                promoted.append(task)
+        return promoted
 
     def deps_satisfied(self, task_id: int) -> bool:
-        return all(
-            self.nodes[dep].state is TaskState.DONE
-            for dep in self.incoming.get(task_id, ())
-        )
+        return self.unmet.get(task_id, 0) == 0
 
 
 @dataclass

@@ -1,17 +1,7 @@
-"""Scheduling decisions: readiness, producer priority, stream/data locality."""
+"""Scheduling decisions: producer priority, stream/data locality."""
 from __future__ import annotations
 
-from .model import DependencyGraph, Direction, ParamType, ResourceState, TaskDescriptor, TaskState
-
-_SCHEDULABLE = (TaskState.REGISTERED, TaskState.READY)
-
-
-def ready_set(graph: DependencyGraph) -> set[int]:
-    """Tasks whose every incoming edge is satisfied by a DONE producer."""
-    return {
-        tid for tid, task in graph.nodes.items()
-        if task.state in _SCHEDULABLE and graph.deps_satisfied(tid)
-    }
+from .model import Direction, ParamType, ResourceState, TaskDescriptor
 
 
 def locality_score(task: TaskDescriptor, resource: ResourceState) -> int:

@@ -19,13 +19,7 @@ from .usecases import uc1_continuous, uc2_async_exchange, uc3_external_stream, u
 
 def _cmd_server(args) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    broker_address = None
-    if args.broker:
-        host, _, port = args.broker.rpartition(":")
-        broker_address = (host or "127.0.0.1", int(port))
-    server = StreamServer(host=args.host, port=args.port, tick_ms=args.tick_ms,
-                          broker_address=broker_address,
-                          journal_path=args.journal)
+    server = StreamServer(host=args.host, port=args.port, tick_ms=args.tick_ms)
     server.serve()
     return 0
 

@@ -12,8 +12,9 @@ from hybridflow.model import ConsumerMode, StreamHandle, StreamKind
 from hybridflow.runtime import (
     DependencyGraph, Direction, ParamSpec, ParamType, ResourceState, Runtime,
     TaskDescriptor, TaskState, file_in, file_out, locality_score, obj_in,
-    obj_inout, obj_out, pick_next, ready_set, stream_in, stream_out,
+    obj_inout, obj_out, pick_next, stream_in, stream_out,
 )
+from hybridflow.runtime import master as master_mod
 
 
 def handle(sid: str) -> StreamHandle:
@@ -88,20 +89,99 @@ class TestDependencyAnalysis:
             assert all(g.nodes[a].task_id < g.nodes[b].task_id for a, b, _ in g.edges)
 
 
-class TestReadySet:
+def ready_ids(g):
+    return {tid for tid, t in g.nodes.items() if t.state is TaskState.READY}
+
+
+def finish(g, tid):
+    """Run a READY task through dispatch to completion; ids it promoted."""
+    g.nodes[tid].move_to(TaskState.SCHEDULED)
+    g.nodes[tid].move_to(TaskState.RUNNING)
+    return sorted(t.task_id for t in g.complete(tid))
+
+
+class TestIncrementalReadiness:
     def test_linear_chain(self):
         g = DependencyGraph()
-        g.add_task(make_task(1, [obj_out("x")], state=TaskState.REGISTERED))
-        g.add_task(make_task(2, [obj_in("x")], state=TaskState.REGISTERED))
-        assert ready_set(g) == {1}
-        g.nodes[1].state = TaskState.DONE
-        assert ready_set(g) == {2}
+        for tid, params in ((1, [obj_out("x")]), (2, [obj_in("x"), obj_out("y")]),
+                            (3, [obj_in("y")])):
+            g.add_task(make_task(tid, params, state=TaskState.REGISTERED))
+        assert ready_ids(g) == {1}
+        assert g.unmet == {1: 0, 2: 1, 3: 1}
+        assert finish(g, 1) == [2]
+        assert ready_ids(g) == {2}
+        assert finish(g, 2) == [3]
+        assert finish(g, 3) == []
+        assert all(g.deps_satisfied(tid) for tid in g.nodes)
 
-    def test_stream_pair_both_ready(self):
+    def test_stream_pair_both_ready_at_submit(self):
         g = DependencyGraph()
         g.add_task(make_task(1, [stream_out(handle("s"))], state=TaskState.REGISTERED))
         g.add_task(make_task(2, [stream_in(handle("s"))], state=TaskState.REGISTERED))
-        assert ready_set(g) == {1, 2}
+        assert ready_ids(g) == {1, 2}
+        assert g.outgoing == {1: set(), 2: set()}
+
+    def test_reader_added_after_writer_done(self):
+        g = DependencyGraph()
+        g.add_task(make_task(1, [obj_out("x")], state=TaskState.REGISTERED))
+        assert finish(g, 1) == []
+        g.add_task(make_task(2, [obj_in("x")], state=TaskState.REGISTERED))
+        assert (1, 2, "x") in g.edges
+        assert g.unmet[2] == 0
+        assert g.nodes[2].state is TaskState.READY
+
+    def test_same_writer_through_two_params_counts_once(self):
+        g = DependencyGraph()
+        g.add_task(make_task(1, [obj_out("x"), obj_out("y")], state=TaskState.REGISTERED))
+        g.add_task(make_task(2, [obj_in("x"), obj_in("y")], state=TaskState.REGISTERED))
+        assert {(1, 2, "x"), (1, 2, "y")} <= set(g.edges)
+        assert g.unmet[2] == 1
+        assert finish(g, 1) == [2]
+        assert g.unmet[2] == 0
+
+    def test_inout_chains_through_the_updater(self):
+        g = DependencyGraph()
+        g.add_task(make_task(1, [obj_out("x")], state=TaskState.REGISTERED))
+        g.add_task(make_task(2, [obj_inout("x")], state=TaskState.REGISTERED))
+        g.add_task(make_task(3, [obj_in("x")], state=TaskState.REGISTERED))
+        assert g.outgoing[1] == {2}
+        assert finish(g, 1) == [2]
+        assert g.nodes[3].state is TaskState.REGISTERED
+        assert finish(g, 2) == [3]
+
+    def test_failed_writer_blocks_reader(self):
+        g = DependencyGraph()
+        g.add_task(make_task(1, [obj_out("x")], state=TaskState.REGISTERED))
+        g.nodes[1].state = TaskState.FAILED
+        g.add_task(make_task(2, [obj_in("x")], state=TaskState.REGISTERED))
+        assert g.unmet[2] == 1
+        assert not g.deps_satisfied(2)
+        assert g.nodes[2].state is TaskState.REGISTERED
+
+    def test_promotion_matches_state_scan_oracle(self):
+        # oracle: a task is ready iff every incoming writer is DONE, checked
+        # by scanning all states after each completion in a random order
+        rng = random.Random(11)
+        for _ in range(200):
+            g = DependencyGraph()
+            data_ids = [f"d{i}" for i in range(rng.randint(1, 5))]
+            for tid in range(1, rng.randint(1, 14) + 1):
+                params = [ParamSpec(ParamType.OBJECT,
+                                    rng.choice(list(Direction)), ref)
+                          for ref in rng.sample(data_ids, rng.randint(0, len(data_ids)))]
+                g.add_task(make_task(tid, params, state=TaskState.REGISTERED))
+            done = set()
+            while True:
+                want = {tid for tid in g.nodes if tid not in done
+                        and all(w in done for w in g.incoming[tid])}
+                assert ready_ids(g) == want
+                if not want:
+                    break
+                tid = rng.choice(sorted(want))
+                promoted = set(finish(g, tid))
+                done.add(tid)
+                assert promoted <= g.outgoing[tid]
+            assert done == set(g.nodes)
 
 
 class TestPickNext:
@@ -214,10 +294,17 @@ class TestExecution:
                 raise RuntimeError("injected")
             return "ok"
 
+        @runtime.register_method
+        def shout(x, out):
+            return x + "!"
+
         tid = runtime.submit("flaky", [obj_out("r")])
+        succ = runtime.submit("shout", [obj_in("r"), obj_out("r2")])
+        assert runtime.wait_on("r2", timeout_s=10) == "ok!"
         assert runtime.wait_on("r", timeout_s=10) == "ok"
         assert len(attempts) == 2
         assert runtime.task(tid).state is TaskState.DONE
+        assert runtime.task(succ).state is TaskState.DONE
 
     def test_two_faults_fail_and_block_dependents(self, runtime):
         @runtime.register_method
@@ -252,6 +339,42 @@ class TestExecution:
         assert runtime.wait_on("r", timeout_s=10) is True
         assert len(seen) == 2
         assert seen[0] != seen[1]
+
+    def test_dispatch_cost_independent_of_pending_count(self, monkeypatch):
+        # 40 chains of 50 keep about 2000 tasks pending but at most 40 ready;
+        # a scan of the pending set costs hundreds of checks per task
+        chains, length = 40, 50
+        work = {"checks": 0}
+        lock = threading.Lock()
+        real_pick, real_deps = master_mod.pick_next, DependencyGraph.deps_satisfied
+
+        def counting_pick(ready, resources):
+            with lock:
+                work["checks"] += len(ready)
+            return real_pick(ready, resources)
+
+        def counting_deps(self, task_id):
+            with lock:
+                work["checks"] += 1
+            return real_deps(self, task_id)
+
+        monkeypatch.setattr(master_mod, "pick_next", counting_pick)
+        monkeypatch.setattr(DependencyGraph, "deps_satisfied", counting_deps)
+        rt = Runtime(local_slots=[2])
+        try:
+            @rt.register_method
+            def step(x, out):
+                return x + 1
+
+            for c in range(chains):
+                rt.put(f"c{c}-0", c)
+                for i in range(length):
+                    rt.submit("step", [obj_in(f"c{c}-{i}"), obj_out(f"c{c}-{i + 1}")])
+            assert rt.barrier(timeout_s=120) is True
+            assert all(rt.wait_on(f"c{c}-{length}") == c + length for c in range(chains))
+        finally:
+            rt.shutdown()
+        assert work["checks"] <= 50 * chains * length, work
 
     def test_barrier_no_tasks(self, runtime):
         assert runtime.barrier(timeout_s=1) is True

@@ -7,7 +7,8 @@ import time
 import pytest
 
 from hybridflow import protocol
-from hybridflow.errors import ProtocolError, StaleCommit, UnknownTopic
+from hybridflow.client import DistroStreamClient
+from hybridflow.errors import ProtocolError, ServerUnreachable, StaleCommit, UnknownTopic
 from hybridflow.model import ConsumerMode, StreamKind
 from hybridflow.streams import create_stream
 
@@ -53,6 +54,75 @@ class TestFraming:
     def test_element_batch_roundtrip(self):
         batch = [(1700000000000, b"alpha"), (1700000000001, b"")]
         assert protocol.unpack_elements(protocol.pack_elements(batch)) == batch
+
+
+class _ByeOnlyPeer:
+    """Accepts clients and answers BYE only, so every other request blocks."""
+
+    def __init__(self) -> None:
+        self.sock = socket.socket()
+        self.sock.bind(("127.0.0.1", 0))
+        self.sock.listen(64)
+        self.port = self.sock.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                raw, _ = self.sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(protocol.Connection(raw),),
+                             daemon=True).start()
+
+    @staticmethod
+    def _serve(conn: protocol.Connection) -> None:
+        try:
+            while (frame := conn.recv()) is not None:
+                if frame.verb == "BYE":
+                    conn.send(protocol.ok(frame.corr_id))
+        except (ProtocolError, OSError):
+            pass
+        conn.close()
+
+
+class TestLocalClose:
+    def test_recv_after_local_close_is_a_lost_connection(self):
+        left, right = socket.socketpair()
+        conn = protocol.Connection(left)
+        conn.close()
+        with pytest.raises(OSError):
+            conn.recv()
+        right.close()
+
+    def test_blocked_requests_fail_promptly_on_close(self):
+        # a close racing the BYE reply used to kill the reader thread with a
+        # ValueError, leaving its waiter blocked for request_timeout_s (30 s)
+        peer = _ByeOnlyPeer()
+        clients = [DistroStreamClient(host="127.0.0.1", port=peer.port)
+                   for _ in range(32)]
+        outcomes = []
+
+        def blocked(client):
+            t0 = time.monotonic()
+            try:
+                client.lookup("never-answered")
+            except ServerUnreachable:
+                outcomes.append(time.monotonic() - t0)
+
+        threads = [threading.Thread(target=blocked, args=(c,)) for c in clients]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 5
+        while any(not c._pending for c in clients) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        for client in clients:
+            client.close()
+        for t in threads:
+            t.join(timeout=40)
+        peer.sock.close()
+        assert len(outcomes) == len(clients)
+        assert max(outcomes) < 10
 
 
 class _RawClient:
