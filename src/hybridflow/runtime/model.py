@@ -29,15 +29,19 @@ class TaskState(str, Enum):
     FAILED = "FAILED"
 
     def can_move_to(self, nxt: "TaskState") -> bool:
-        allowed = {
-            TaskState.REGISTERED: {TaskState.READY},
-            TaskState.READY: {TaskState.SCHEDULED},
-            TaskState.SCHEDULED: {TaskState.RUNNING, TaskState.READY},
-            TaskState.RUNNING: {TaskState.DONE, TaskState.FAILED, TaskState.READY},
-            TaskState.DONE: set(),
-            TaskState.FAILED: set(),
-        }
-        return nxt in allowed[self]
+        return nxt in _TRANSITIONS[self]
+
+
+# built once: submit() promotes tasks inside the timed analysis step, so the
+# legality check must not rebuild this table on every transition
+_TRANSITIONS: dict[TaskState, frozenset[TaskState]] = {
+    TaskState.REGISTERED: frozenset({TaskState.READY}),
+    TaskState.READY: frozenset({TaskState.SCHEDULED}),
+    TaskState.SCHEDULED: frozenset({TaskState.RUNNING, TaskState.READY}),
+    TaskState.RUNNING: frozenset({TaskState.DONE, TaskState.FAILED, TaskState.READY}),
+    TaskState.DONE: frozenset(),
+    TaskState.FAILED: frozenset(),
+}
 
 
 @dataclass(frozen=True)
