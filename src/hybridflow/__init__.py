@@ -12,8 +12,8 @@ from .errors import (
     AliasKindMismatch, BackendError, BindError, BrokerError, ClosedStreamError,
     DuplicateTopic, ExecutionFailure, HybridflowError, InvalidAnnotation,
     InvalidPath, ProtocolError, RegistrationError, RuntimeFlowError,
-    ServerUnreachable, StaleCommit, UnknownData, UnknownGroup, UnknownMethod,
-    UnknownStream, UnknownTopic,
+    ServerUnreachable, UnknownData, UnknownGroup, UnknownMethod, UnknownStream,
+    UnknownTopic,
 )
 from .model import ConsumerMode, LogRecord, StreamElement, StreamHandle, StreamKind
 from .server import StreamServer
@@ -26,6 +26,6 @@ __all__ = [
     "AliasKindMismatch", "BackendError", "BindError", "BrokerError",
     "ClosedStreamError", "DuplicateTopic", "ExecutionFailure", "HybridflowError",
     "InvalidAnnotation", "InvalidPath", "ProtocolError", "RegistrationError",
-    "RuntimeFlowError", "ServerUnreachable", "StaleCommit", "UnknownData",
-    "UnknownGroup", "UnknownMethod", "UnknownStream", "UnknownTopic",
+    "RuntimeFlowError", "ServerUnreachable", "UnknownData", "UnknownGroup",
+    "UnknownMethod", "UnknownStream", "UnknownTopic",
 ]

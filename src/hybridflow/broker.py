@@ -1,20 +1,20 @@
 """In-process partitioned append-only log with consumer groups and deletion.
 
 Topics are named after stream ids. Each partition numbers its records with a
-strictly sequential offset that survives deletion. Consumer groups track a
-committed frontier per partition plus in-flight leases so that a member that
-dies between fetch and commit has its records redelivered (at-least-once) or
-not (at-most-once). Exactly-once delivery removes records once committed.
+strictly sequential offset that survives deletion. A consumer group tracks a
+committed frontier per partition. Broker.poll is the only consume path:
+EXACTLY_ONCE and AT_MOST_ONCE delete what they deliver, while AT_LEAST_ONCE
+leases each batch until the consumer's next poll commits it, so a member that
+dies in between has its batch redelivered.
 """
 from __future__ import annotations
 
-import struct
+import heapq
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 
-from .errors import DuplicateTopic, StaleCommit, UnknownGroup, UnknownTopic
+from .errors import DuplicateTopic, UnknownGroup, UnknownTopic
 from .model import ConsumerMode, LogRecord, TopicStats
 
 DEFAULT_LEASE_MS = 30_000
@@ -30,11 +30,11 @@ class _Partition:
     next_offset: int = 0
     records: dict[int, LogRecord] = field(default_factory=dict)
 
-    def append(self, value: bytes, key: bytes | None) -> int:
+    def append(self, value: bytes) -> int:
         offset = self.next_offset
         self.records[offset] = LogRecord(
             value=value, offset=offset, partition=self.index,
-            publish_time=_now_ms(), key=key,
+            publish_time=_now_ms(),
         )
         self.next_offset += 1
         return offset
@@ -42,32 +42,43 @@ class _Partition:
 
 @dataclass
 class _Lease:
-    consumer: str
     offsets: dict[int, list[int]]  # partition -> offsets handed out
     deadline: float
 
 
 class _Group:
-    def __init__(self, group_id: str, partitions: int) -> None:
-        self.group_id = group_id
-        self.members: set[str] = set()
+    def __init__(self, partitions: int) -> None:
         # committed frontier: everything below is permanently done
         self.committed: dict[int, int] = {p: 0 for p in range(partitions)}
         # individually acked offsets not yet contiguous with the frontier
         self.done: dict[int, set[int]] = {p: set() for p in range(partitions)}
         # next fresh offset to hand out (>= committed frontier)
         self.cursor: dict[int, int] = {p: 0 for p in range(partitions)}
-        # offsets returned by expired leases, waiting for redelivery
+        # min-heaps of offsets returned by expired leases, awaiting redelivery
         self.redeliver: dict[int, list[int]] = {p: [] for p in range(partitions)}
-        self.leases: list[_Lease] = []
+        # at-least-once batch each consumer holds until its next poll
+        self.leases: dict[str, _Lease] = {}
 
-    def advance_frontier(self, partition: int) -> None:
+    def mark_done(self, partition: int, offsets: list[int]) -> None:
         done = self.done[partition]
+        done.update(offsets)
         frontier = self.committed[partition]
         while frontier in done:
             done.remove(frontier)
             frontier += 1
         self.committed[partition] = frontier
+
+    def reap_expired(self) -> None:
+        now = time.monotonic()
+        expired = [c for c, lease in self.leases.items() if lease.deadline <= now]
+        for consumer in expired:
+            self.requeue(self.leases.pop(consumer))
+
+    def requeue(self, lease: _Lease) -> None:
+        for part_idx, offsets in lease.offsets.items():
+            queue = self.redeliver[part_idx]
+            for off in offsets:
+                heapq.heappush(queue, off)
 
 
 class _Topic:
@@ -78,58 +89,20 @@ class _Topic:
         self.rr_counter = 0
         self.lock = threading.RLock()
 
-    def route(self, key: bytes | None) -> _Partition:
-        if key is None:
-            part = self.partitions[self.rr_counter % len(self.partitions)]
-            self.rr_counter += 1
-            return part
-        return self.partitions[zlib.crc32(key) % len(self.partitions)]
+    def join(self, group_id: str) -> _Group:
+        group = self.groups.get(group_id)
+        if group is None:
+            group = self.groups[group_id] = _Group(len(self.partitions))
+        return group
 
 
 class Broker:
-    """Thread-safe log broker; per-partition mutation is serialized by topic.
+    """Thread-safe in-memory log broker; mutation is serialized per topic."""
 
-    Storage is in memory; journal_path enables an append-only on-disk journal
-    of every record for crash tests (replayable with Broker.replay).
-    """
-
-    def __init__(self, lease_ms: int = DEFAULT_LEASE_MS,
-                 journal_path: str | None = None) -> None:
+    def __init__(self, lease_ms: int = DEFAULT_LEASE_MS) -> None:
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.RLock()
         self.lease_ms = lease_ms
-        self._journal = open(journal_path, "ab") if journal_path else None
-
-    def _journal_append(self, topic: str, partition: int, offset: int,
-                        value: bytes) -> None:
-        topic_raw = topic.encode("utf-8")
-        self._journal.write(struct.pack(">HIQI", len(topic_raw), partition,
-                                        offset, len(value)))
-        self._journal.write(topic_raw)
-        self._journal.write(value)
-        self._journal.flush()
-
-    @classmethod
-    def replay(cls, journal_path: str, partition_counts: dict[str, int],
-               lease_ms: int = DEFAULT_LEASE_MS) -> "Broker":
-        """Rebuild topic contents from a journal (group state is not journaled)."""
-        broker = cls(lease_ms=lease_ms)
-        with open(journal_path, "rb") as fh:
-            while True:
-                header = fh.read(struct.calcsize(">HIQI"))
-                if not header:
-                    break
-                topic_len, partition, offset, value_len = struct.unpack(">HIQI", header)
-                topic = fh.read(topic_len).decode("utf-8")
-                value = fh.read(value_len)
-                if topic not in broker._topics:
-                    broker.create_topic(topic, partition_counts.get(topic, 1))
-                part = broker._topics[topic].partitions[partition]
-                part.records[offset] = LogRecord(
-                    value=value, offset=offset, partition=partition,
-                    publish_time=_now_ms())
-                part.next_offset = max(part.next_offset, offset + 1)
-        return broker
 
     # -- topic management --
 
@@ -147,10 +120,6 @@ class Broker:
                 raise UnknownTopic(name)
             del self._topics[name]
 
-    def has_topic(self, name: str) -> bool:
-        with self._lock:
-            return name in self._topics
-
     def _topic(self, name: str) -> _Topic:
         with self._lock:
             try:
@@ -160,44 +129,23 @@ class Broker:
 
     # -- producer side --
 
-    def append(self, topic: str, value: bytes, key: bytes | None = None) -> int:
+    def append(self, topic: str, value: bytes) -> int:
+        """Append one record, routing partitions round-robin; returns its offset."""
         t = self._topic(topic)
         with t.lock:
-            part = t.route(key)
-            offset = part.append(value, key)
-            if self._journal is not None:
-                self._journal_append(topic, part.index, offset, value)
-            return offset
+            part = t.partitions[t.rr_counter % len(t.partitions)]
+            t.rr_counter += 1
+            return part.append(value)
 
     # -- consumer side --
 
-    def join_group(self, topic: str, group_id: str, consumer: str) -> None:
+    def join_group(self, topic: str, group_id: str) -> None:
         t = self._topic(topic)
         with t.lock:
-            group = t.groups.get(group_id)
-            if group is None:
-                group = _Group(group_id, len(t.partitions))
-                t.groups[group_id] = group
-            group.members.add(consumer)
-
-    def _group(self, t: _Topic, group_id: str) -> _Group:
-        group = t.groups.get(group_id)
-        if group is None:
-            raise UnknownGroup(group_id)
-        return group
-
-    def _reap_expired(self, group: _Group) -> None:
-        now = time.monotonic()
-        expired = [l for l in group.leases if l.deadline <= now]
-        if not expired:
-            return
-        group.leases = [l for l in group.leases if l.deadline > now]
-        for lease in expired:
-            for part, offsets in lease.offsets.items():
-                group.redeliver[part].extend(offsets)
-                group.redeliver[part].sort()
+            t.join(group_id)
 
     def _take(self, t: _Topic, group: _Group, limit: int | None) -> dict[int, list[LogRecord]]:
+        """Next records for the group: redeliveries first, then fresh ones."""
         taken: dict[int, list[LogRecord]] = {}
         budget = limit if limit is not None else -1
         for part in t.partitions:
@@ -206,7 +154,7 @@ class Broker:
             done = group.done[part.index]
             queue = group.redeliver[part.index]
             while queue and budget != 0:
-                off = queue.pop(0)
+                off = heapq.heappop(queue)
                 rec = part.records.get(off)
                 if rec is not None and off >= frontier and off not in done:
                     out.append(rec)
@@ -226,139 +174,50 @@ class Broker:
                 break
         return taken
 
-    def fetch(self, topic: str, group_id: str, consumer: str,
-              max_records: int | None = None,
-              mode: ConsumerMode = ConsumerMode.EXACTLY_ONCE) -> list[LogRecord]:
-        """Hand unread records to one group member and mark them in flight.
-
-        Under AT_MOST_ONCE the records are committed and deleted immediately,
-        so a member that dies afterwards loses them; the other modes lease the
-        records until commit_and_delete (or lease expiry returns them).
-        """
-        t = self._topic(topic)
-        with t.lock:
-            group = self._group(t, group_id)
-            if consumer not in group.members:
-                raise UnknownGroup(f"consumer {consumer!r} has not joined {group_id!r}")
-            self._reap_expired(group)
-            taken = self._take(t, group, max_records)
-            records = [r for part in sorted(taken) for r in taken[part]]
-            if not records:
-                return []
-            if mode is ConsumerMode.AT_MOST_ONCE:
-                for part_idx, recs in taken.items():
-                    part = t.partitions[part_idx]
-                    for rec in recs:
-                        group.done[part_idx].add(rec.offset)
-                        part.records.pop(rec.offset, None)
-                    group.advance_frontier(part_idx)
-            else:
-                group.leases.append(_Lease(
-                    consumer=consumer,
-                    offsets={p: [r.offset for r in recs] for p, recs in taken.items()},
-                    deadline=time.monotonic() + self.lease_ms / 1000.0,
-                ))
-            return records
-
-    def commit_and_delete(self, topic: str, group_id: str, consumer: str,
-                          offsets: dict[int, list[int]],
-                          delete: bool = True) -> None:
-        """Acknowledge in-flight offsets; with delete=True remove the records.
-
-        delete=True is the exactly-once path; at-least-once commits without
-        deleting so other groups could still read the log.
-        """
-        t = self._topic(topic)
-        with t.lock:
-            group = self._group(t, group_id)
-            for part_idx, offs in offsets.items():
-                frontier = group.committed.get(part_idx)
-                if frontier is None:
-                    raise UnknownTopic(f"partition {part_idx} of {topic}")
-                for off in offs:
-                    if off < frontier or off in group.done[part_idx]:
-                        raise StaleCommit(f"{topic}[{part_idx}]@{off}")
-            for part_idx, offs in offsets.items():
-                part = t.partitions[part_idx]
-                offset_set = set(offs)
-                for lease in group.leases:
-                    if lease.consumer != consumer:
-                        continue
-                    held = lease.offsets.get(part_idx)
-                    if held:
-                        lease.offsets[part_idx] = [o for o in held if o not in offset_set]
-                for off in offs:
-                    group.done[part_idx].add(off)
-                    if delete:
-                        part.records.pop(off, None)
-                group.advance_frontier(part_idx)
-            group.leases = [l for l in group.leases if any(l.offsets.values())]
-
-    def ack_consumer(self, topic: str, group_id: str, consumer: str,
-                     delete: bool) -> None:
-        """Commit every offset the consumer currently holds in flight."""
-        t = self._topic(topic)
-        with t.lock:
-            group = self._group(t, group_id)
-            held: dict[int, list[int]] = {}
-            for lease in group.leases:
-                if lease.consumer != consumer:
-                    continue
-                for part_idx, offs in lease.offsets.items():
-                    held.setdefault(part_idx, []).extend(offs)
-        if held:
-            self.commit_and_delete(topic, group_id, consumer, held, delete=delete)
-
     def poll(self, topic: str, group_id: str, consumer: str,
              mode: ConsumerMode, max_records: int | None = None) -> list[LogRecord]:
-        """Mode-aware poll: the single operation behind a stream poll request.
+        """Hand the next unread records of the topic to one group member.
 
-        EXACTLY_ONCE atomically fetches, commits, and deletes the delivered
-        records. AT_LEAST_ONCE commits the consumer's previous batch (without
-        deletion) and leases a new one, so only a member that never polls
-        again leaves work to be redelivered. AT_MOST_ONCE deletes at fetch.
+        EXACTLY_ONCE and AT_MOST_ONCE mark the records done and delete them
+        before returning, so nothing is ever redelivered. AT_LEAST_ONCE first
+        commits the consumer's previous batch (without deletion) and then
+        leases the new one, so only a member that never polls again, or
+        outlives the lease, leaves its batch to be redelivered.
         """
+        t = self._topic(topic)
+        with t.lock:
+            group = t.join(group_id)
+            group.reap_expired()
+            if mode is ConsumerMode.AT_LEAST_ONCE:
+                held = group.leases.pop(consumer, None)
+                if held is not None:
+                    for part_idx, offsets in held.offsets.items():
+                        group.mark_done(part_idx, offsets)
+            taken = self._take(t, group, max_records)
+            if mode is ConsumerMode.AT_LEAST_ONCE:
+                if taken:
+                    group.leases[consumer] = _Lease(
+                        offsets={p: [r.offset for r in recs] for p, recs in taken.items()},
+                        deadline=time.monotonic() + self.lease_ms / 1000.0,
+                    )
+            else:
+                for part_idx, recs in taken.items():
+                    records = t.partitions[part_idx].records
+                    for rec in recs:
+                        del records[rec.offset]
+                    group.mark_done(part_idx, [r.offset for r in recs])
+            return [rec for recs in taken.values() for rec in recs]
+
+    def expire_consumer(self, topic: str, group_id: str, consumer: str) -> None:
+        """Simulate a member crash: its leased batch returns for redelivery."""
         t = self._topic(topic)
         with t.lock:
             group = t.groups.get(group_id)
             if group is None:
-                group = _Group(group_id, len(t.partitions))
-                t.groups[group_id] = group
-            group.members.add(consumer)
-            if mode is ConsumerMode.AT_LEAST_ONCE:
-                self._reap_expired(group)
-                held: dict[int, list[int]] = {}
-                for lease in group.leases:
-                    if lease.consumer != consumer:
-                        continue
-                    for part_idx, offs in lease.offsets.items():
-                        held.setdefault(part_idx, []).extend(offs)
-                if held:
-                    self.commit_and_delete(topic, group_id, consumer, held, delete=False)
-                return self.fetch(topic, group_id, consumer, max_records, mode)
-            if mode is ConsumerMode.AT_MOST_ONCE:
-                return self.fetch(topic, group_id, consumer, max_records, mode)
-            records = self.fetch(topic, group_id, consumer, max_records, mode)
-            if records:
-                offsets: dict[int, list[int]] = {}
-                for rec in records:
-                    offsets.setdefault(rec.partition, []).append(rec.offset)
-                self.commit_and_delete(topic, group_id, consumer, offsets, delete=True)
-            return records
-
-    def expire_consumer(self, topic: str, group_id: str, consumer: str) -> None:
-        """Simulate a member crash: all its leases return to the redeliver queue."""
-        t = self._topic(topic)
-        with t.lock:
-            group = self._group(t, group_id)
-            group.members.discard(consumer)
-            for lease in group.leases:
-                if lease.consumer != consumer:
-                    continue
-                for part_idx, offs in lease.offsets.items():
-                    group.redeliver[part_idx].extend(offs)
-                    group.redeliver[part_idx].sort()
-            group.leases = [l for l in group.leases if l.consumer != consumer]
+                raise UnknownGroup(group_id)
+            lease = group.leases.pop(consumer, None)
+            if lease is not None:
+                group.requeue(lease)
 
     # -- inspection --
 
@@ -381,7 +240,7 @@ class Broker:
         with t.lock:
             group = t.groups.get(group_id)
             if group is not None:
-                self._reap_expired(group)
+                group.reap_expired()
             total = 0
             for part in t.partitions:
                 cursor = group.cursor[part.index] if group else 0
@@ -391,7 +250,3 @@ class Broker:
                         1 for off in group.redeliver[part.index] if off in part.records
                     )
             return total
-
-    def topic_names(self) -> list[str]:
-        with self._lock:
-            return sorted(self._topics)

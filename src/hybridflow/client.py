@@ -19,7 +19,7 @@ from . import errors as errmod
 from . import protocol
 from .codec import pack_blocks
 from .errors import ProtocolError, RegistrationError, ServerUnreachable
-from .model import ConsumerMode, LogRecord, StreamKind
+from .model import ConsumerMode, StreamKind
 
 _ERROR_CLASSES = {
     name: obj for name, obj in vars(errmod).items()
@@ -196,15 +196,6 @@ class DistroStreamClient:
         self.cache.put(stream_id, entry)
         return entry
 
-    def status(self, stream_id: str) -> bool:
-        """Authoritative closed flag straight from the server."""
-        frame = self.request("STATUS", [stream_id])
-        closed = frame.fields[0] == "1"
-        cached = self.cache.get(stream_id)
-        if cached is not None:
-            cached.closed = cached.closed or closed
-        return closed
-
     def is_closed(self, stream_id: str) -> bool:
         cached = self.cache.get(stream_id)
         if cached is not None:
@@ -241,50 +232,3 @@ class DistroStreamClient:
             str(max_records) if max_records is not None else "",
         ])
         return protocol.unpack_elements(frame.payload)
-
-    # -- raw broker surface --
-
-    def new_topic(self, name: str, partitions: int = 1) -> None:
-        self.request("NEWTOPIC", [name, str(partitions)])
-
-    def delete_topic(self, name: str) -> None:
-        self.request("DELTOPIC", [name])
-
-    def append(self, topic: str, value: bytes, key: bytes | None = None) -> int:
-        frame = self.request("APPEND", [topic, key.decode("utf-8") if key else ""], value)
-        return int(frame.fields[0])
-
-    def fetch(self, topic: str, group: str, consumer: str,
-              max_records: int | None = None,
-              mode: ConsumerMode = ConsumerMode.EXACTLY_ONCE) -> list[LogRecord]:
-        frame = self.request("FETCH", [
-            topic, group, consumer,
-            str(max_records) if max_records is not None else "", mode.value,
-        ])
-        return [
-            LogRecord(value=value, offset=off, partition=part, publish_time=ts)
-            for part, off, ts, value in protocol.unpack_records(frame.payload)
-        ]
-
-    def commit(self, topic: str, group: str, consumer: str,
-               offsets: dict[int, list[int]], delete: bool = True) -> None:
-        spec = ";".join(
-            f"{part}:{'+'.join(str(o) for o in offs)}" for part, offs in offsets.items()
-        )
-        self.request("COMMIT", [topic, group, consumer, "1" if delete else "0", spec])
-
-    def join_topic_group(self, topic: str, group: str, consumer: str) -> None:
-        self.request("BJOIN", [topic, group, consumer])
-
-    def poll_topic(self, topic: str, group: str, consumer: str,
-                   mode: ConsumerMode,
-                   max_records: int | None = None) -> list[LogRecord]:
-        """Mode-aware poll against a raw topic (separate-broker deployments)."""
-        frame = self.request("BPOLL", [
-            topic, group, consumer, mode.value,
-            str(max_records) if max_records is not None else "",
-        ])
-        return [
-            LogRecord(value=value, offset=off, partition=part, publish_time=ts)
-            for part, off, ts, value in protocol.unpack_records(frame.payload)
-        ]

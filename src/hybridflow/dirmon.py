@@ -65,7 +65,11 @@ class DirectoryMonitor:
         """One scan pass: returns the new absolute paths, oldest first.
 
         New files are added to the seen set and appended to the delivery
-        queue before returning. I/O failures skip the tick (retried later).
+        queue before returning. The sink runs under the monitor lock, so a
+        concurrent scan that finds nothing new returns only after every file
+        already marked seen has reached the sink (lock order: monitor lock,
+        then the broker's topic lock). I/O failures skip the tick (retried
+        later).
         """
         with self._lock:
             state = self._states.get(stream_id)
@@ -87,9 +91,9 @@ class DirectoryMonitor:
             new_paths = []
             for _, name in entries:
                 state.seen.add(name)
-                new_paths.append(os.path.join(state.base_dir, name))
-        for path in new_paths:
-            self._sink(stream_id, path.encode("utf-8"))
+                path = os.path.join(state.base_dir, name)
+                self._sink(stream_id, path.encode("utf-8"))
+                new_paths.append(path)
         return new_paths
 
     # -- background loop --

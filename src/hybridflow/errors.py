@@ -53,10 +53,6 @@ class UnknownGroup(BrokerError):
     pass
 
 
-class StaleCommit(BrokerError):
-    """Commit for offsets at or below the group's committed frontier."""
-
-
 # --- server ---
 
 class BindError(HybridflowError):

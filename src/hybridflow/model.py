@@ -67,7 +67,6 @@ class LogRecord:
     offset: int
     partition: int
     publish_time: int
-    key: bytes | None = None
 
 
 @dataclass

@@ -22,16 +22,6 @@ MAX_PAYLOAD = 1 << 31
 
 PUSH_CORR = "0"
 
-REQUEST_VERBS = frozenset({
-    # stream registry
-    "REGISTER", "LOOKUP", "ADDPROD", "ADDCONS", "CLOSE", "STATUS",
-    "POLLREQ", "PUBREQ", "BYE",
-    # raw broker surface
-    "NEWTOPIC", "APPEND", "FETCH", "COMMIT", "DELTOPIC", "BPOLL", "BJOIN",
-})
-PUSH_VERBS = frozenset({"INVALIDATE"})
-REPLY_VERBS = frozenset({"OK", "ERR"})
-
 
 @dataclass
 class Frame:
@@ -152,31 +142,5 @@ def unpack_elements(data: bytes) -> list[tuple[int, bytes]]:
         (size,) = _LEN.unpack_from(view, pos)
         pos += 4
         out.append((ts, bytes(view[pos:pos + size])))
-        pos += size
-    return out
-
-
-def pack_records(records) -> bytes:
-    """Raw broker records: (partition, offset, publish_time, value) tuples."""
-    out = bytearray()
-    out += _LEN.pack(len(records))
-    for rec in records:
-        out += struct.pack(">IQQ", rec.partition, rec.offset, rec.publish_time)
-        out += _LEN.pack(len(rec.value))
-        out += rec.value
-    return bytes(out)
-
-
-def unpack_records(data: bytes) -> list[tuple[int, int, int, bytes]]:
-    view = memoryview(data)
-    (count,) = _LEN.unpack_from(view, 0)
-    pos = 4
-    out = []
-    for _ in range(count):
-        part, off, ts = struct.unpack_from(">IQQ", view, pos)
-        pos += 20
-        (size,) = _LEN.unpack_from(view, pos)
-        pos += 4
-        out.append((part, off, ts, bytes(view[pos:pos + size])))
         pos += size
     return out

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import protocol
-from .broker import Broker
+from .broker import DEFAULT_LEASE_MS, Broker
 from .codec import unpack_blocks
 from .dirmon import DirectoryMonitor
 from .errors import (
@@ -31,46 +31,6 @@ log = logging.getLogger("hybridflow.server")
 
 DEFAULT_PORT = int(os.environ.get("DS_SERVER_PORT", "49049"))
 DEFAULT_HOST = os.environ.get("DS_SERVER_HOST", "127.0.0.1")
-
-
-class RemoteBroker:
-    """Broker facade over a separately-running broker server.
-
-    Lets the metadata server delegate log storage to another process while
-    keeping the same internal interface the in-process broker offers.
-    """
-
-    def __init__(self, host: str, port: int) -> None:
-        from .client import DistroStreamClient
-        self._client = DistroStreamClient(host=host, port=port, group="broker-link")
-
-    def create_topic(self, name: str, partition_count: int = 1) -> None:
-        self._client.new_topic(name, partition_count)
-
-    def delete_topic(self, name: str) -> None:
-        self._client.delete_topic(name)
-
-    def append(self, topic: str, value: bytes, key: bytes | None = None) -> int:
-        return self._client.append(topic, value, key)
-
-    def join_group(self, topic: str, group_id: str, consumer: str) -> None:
-        self._client.join_topic_group(topic, group_id, consumer)
-
-    def fetch(self, topic: str, group_id: str, consumer: str,
-              max_records: int | None = None,
-              mode: ConsumerMode = ConsumerMode.EXACTLY_ONCE):
-        return self._client.fetch(topic, group_id, consumer, max_records, mode)
-
-    def commit_and_delete(self, topic: str, group_id: str, consumer: str,
-                          offsets: dict[int, list[int]], delete: bool = True) -> None:
-        self._client.commit(topic, group_id, consumer, offsets, delete)
-
-    def poll(self, topic: str, group_id: str, consumer: str,
-             mode: ConsumerMode, max_records: int | None = None):
-        return self._client.poll_topic(topic, group_id, consumer, mode, max_records)
-
-    def close(self) -> None:
-        self._client.close()
 
 
 @dataclass
@@ -96,7 +56,6 @@ class StreamRegistry:
         self._by_alias: dict[tuple[str, StreamKind], str] = {}
         self._counter = 0
         self.registered_total = 0
-        self.deleted_total = 0
 
     def register(self, kind: StreamKind, alias: str | None,
                  backend_ref_for: "callable", base_dir: str | None) -> tuple[StreamRegistryEntry, bool]:
@@ -193,18 +152,12 @@ class StreamServer:
     """TCP front end over the registry, broker, and directory monitors."""
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-                 lease_ms: int | None = None, tick_ms: int = 200,
-                 broker_address: tuple[str, int] | None = None,
-                 journal_path: str | None = None) -> None:
+                 lease_ms: int | None = None, tick_ms: int = 200) -> None:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
         self.registry = StreamRegistry()
-        if broker_address is not None:
-            self.broker = RemoteBroker(*broker_address)
-        else:
-            self.broker = Broker(journal_path=journal_path,
-                                 **({"lease_ms": lease_ms} if lease_ms else {}))
+        self.broker = Broker(lease_ms=lease_ms or DEFAULT_LEASE_MS)
         self.monitor = DirectoryMonitor(self._monitor_sink, tick_ms=tick_ms)
         self._sock: socket.socket | None = None
         self._conns: set[protocol.Connection] = set()
@@ -252,8 +205,6 @@ class StreamServer:
     def stop(self) -> None:
         self._stop.set()
         self.monitor.stop()
-        if isinstance(self.broker, RemoteBroker):
-            self.broker.close()
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -399,10 +350,6 @@ class StreamServer:
             entry.backend_ref or "",
         ])
 
-    def _op_status(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        entry = self.registry.get(self._field(frame, 0, "id"))
-        return protocol.ok(frame.corr_id, ["1" if entry.closed else "0"])
-
     def _op_addprod(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
         stream_id = self._field(frame, 0, "id")
         token = self._field(frame, 1, "token")
@@ -419,7 +366,7 @@ class StreamServer:
         token = self._field(frame, 1, "token")
         group = self._field(frame, 2, "group")
         self.registry.add_consumer(stream_id, token, group)
-        self.broker.join_group(stream_id, group, token)
+        self.broker.join_group(stream_id, group)
         return protocol.ok(frame.corr_id, ["1"])
 
     def _op_close(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
@@ -477,65 +424,3 @@ class StreamServer:
         records = self.broker.poll(entry.id, group, token, mode, max_records)
         payload = protocol.pack_elements([(r.publish_time, r.value) for r in records])
         return protocol.ok(frame.corr_id, [str(len(records))], payload)
-
-    # -- raw broker verbs --
-
-    def _op_newtopic(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        name = self._field(frame, 0, "name")
-        partitions = int(self._field(frame, 1, "partitions") or "1")
-        self.broker.create_topic(name, partitions)
-        return protocol.ok(frame.corr_id)
-
-    def _op_deltopic(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        self.broker.delete_topic(self._field(frame, 0, "name"))
-        return protocol.ok(frame.corr_id)
-
-    def _op_append(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        topic = self._field(frame, 0, "topic")
-        key = self._field(frame, 1, "key").encode("utf-8") or None
-        offset = self.broker.append(topic, frame.payload, key)
-        return protocol.ok(frame.corr_id, [str(offset)])
-
-    def _op_fetch(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        topic = self._field(frame, 0, "topic")
-        group = self._field(frame, 1, "group")
-        consumer = self._field(frame, 2, "consumer")
-        max_raw = self._field(frame, 3, "max")
-        mode = ConsumerMode(self._field(frame, 4, "mode"))
-        records = self.broker.fetch(topic, group, consumer,
-                                    int(max_raw) if max_raw else None, mode)
-        return protocol.ok(frame.corr_id, [str(len(records))],
-                           protocol.pack_records(records))
-
-    def _op_bjoin(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        topic = self._field(frame, 0, "topic")
-        group = self._field(frame, 1, "group")
-        consumer = self._field(frame, 2, "consumer")
-        self.broker.join_group(topic, group, consumer)
-        return protocol.ok(frame.corr_id)
-
-    def _op_bpoll(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        topic = self._field(frame, 0, "topic")
-        group = self._field(frame, 1, "group")
-        consumer = self._field(frame, 2, "consumer")
-        mode = ConsumerMode(self._field(frame, 3, "mode"))
-        max_raw = frame.fields[4] if len(frame.fields) > 4 else ""
-        records = self.broker.poll(topic, group, consumer, mode,
-                                   int(max_raw) if max_raw else None)
-        return protocol.ok(frame.corr_id, [str(len(records))],
-                           protocol.pack_records(records))
-
-    def _op_commit(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        topic = self._field(frame, 0, "topic")
-        group = self._field(frame, 1, "group")
-        consumer = self._field(frame, 2, "consumer")
-        delete = self._field(frame, 3, "delete") == "1"
-        spec = self._field(frame, 4, "offsets")
-        offsets: dict[int, list[int]] = {}
-        for chunk in spec.split(";"):
-            if not chunk:
-                continue
-            part_raw, _, offs_raw = chunk.partition(":")
-            offsets[int(part_raw)] = [int(o) for o in offs_raw.split("+") if o]
-        self.broker.commit_and_delete(topic, group, consumer, offsets, delete=delete)
-        return protocol.ok(frame.corr_id)

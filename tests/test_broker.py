@@ -1,22 +1,19 @@
 """Log broker: topics, offsets, groups, deletion, crash redelivery."""
-import zlib
+import time
 
 import pytest
 
 from hybridflow.broker import Broker
-from hybridflow.errors import DuplicateTopic, StaleCommit, UnknownGroup, UnknownTopic
+from hybridflow.errors import DuplicateTopic, UnknownGroup, UnknownTopic
 from hybridflow.model import ConsumerMode
+
+EO = ConsumerMode.EXACTLY_ONCE
+ALO = ConsumerMode.AT_LEAST_ONCE
+AMO = ConsumerMode.AT_MOST_ONCE
 
 
 def make_broker(**kw) -> Broker:
     return Broker(**kw)
-
-
-def offsets_of(records):
-    out = {}
-    for rec in records:
-        out.setdefault(rec.partition, []).append(rec.offset)
-    return out
 
 
 class TestTopics:
@@ -58,11 +55,11 @@ class TestTopics:
     def test_delete_drops_group_state(self):
         b = make_broker()
         b.create_topic("t", 1)
-        b.join_group("t", "g", "c1")
+        b.join_group("t", "g")
         b.delete_topic("t")
         b.create_topic("t", 1)
         with pytest.raises(UnknownGroup):
-            b.fetch("t", "g", "c1")
+            b.expire_consumer("t", "g", "c1")
 
 
 class TestAppend:
@@ -81,18 +78,6 @@ class TestAppend:
         with pytest.raises(UnknownTopic):
             b.append("nope", b"a")
 
-    def test_equal_keys_same_partition(self):
-        # oracle: crc32(key) mod partition count
-        b = make_broker()
-        b.create_topic("t", 4)
-        b.join_group("t", "g", "c")
-        key = b"route-me"
-        for i in range(6):
-            b.append("t", bytes([i]), key=key)
-        records = b.fetch("t", "g", "c")
-        want = zlib.crc32(key) % 4
-        assert {rec.partition for rec in records} == {want}
-
     def test_offsets_survive_deletion(self):
         # deletion must not renumber: offsets keep counting all appends ever
         b = make_broker()
@@ -104,29 +89,25 @@ class TestAppend:
 
 
 class TestFetchCommit:
+    """What a poll hands out, to whom, and what a crash gives back."""
+
     def test_fetch_all_from_zero(self):
         b = make_broker()
         b.create_topic("t", 1)
         for i in range(5):
             b.append("t", bytes([i]))
-        b.join_group("t", "g", "c")
-        records = b.fetch("t", "g", "c")
+        records = b.poll("t", "g", "c", EO)
         # replay oracle: everything appended, in order
         assert [r.offset for r in records] == [0, 1, 2, 3, 4]
         # in-flight marker advanced: nothing further to hand out
-        assert b.fetch("t", "g", "c") == []
+        assert b.poll("t", "g", "c", EO) == []
 
     def test_empty_log(self):
         b = make_broker()
         b.create_topic("t", 1)
-        b.join_group("t", "g", "c")
-        assert b.fetch("t", "g", "c") == []
-
-    def test_unjoined_consumer_rejected(self):
-        b = make_broker()
-        b.create_topic("t", 1)
-        with pytest.raises(UnknownGroup):
-            b.fetch("t", "g", "nobody")
+        b.join_group("t", "g")
+        for mode in (EO, ALO, AMO):
+            assert b.poll("t", "g", "c", mode) == []
 
     def test_two_members_disjoint_union(self):
         b = make_broker()
@@ -134,71 +115,56 @@ class TestFetchCommit:
         values = [bytes([i]) for i in range(10)]
         for v in values:
             b.append("t", v)
-        b.join_group("t", "g", "c1")
-        b.join_group("t", "g", "c2")
-        got1 = b.fetch("t", "g", "c1", max_records=4)
-        got2 = b.fetch("t", "g", "c2")
+        got1 = b.poll("t", "g", "c1", ALO, max_records=4)
+        got2 = b.poll("t", "g", "c2", ALO)
         set1 = {r.value for r in got1}
         set2 = {r.value for r in got2}
+        assert len(got1) == 4
         assert set1.isdisjoint(set2)
         assert set1 | set2 == set(values)
 
     def test_commit_then_refetch_empty(self):
+        # exactly-once deletes on delivery: no lease is left behind, so a
+        # crash right after the poll gives nothing back
         b = make_broker()
         b.create_topic("t", 1)
         for i in range(3):
             b.append("t", bytes([i]))
-        b.join_group("t", "g", "c")
-        records = b.fetch("t", "g", "c")
-        b.commit_and_delete("t", "g", "c", offsets_of(records), delete=True)
-        assert b.fetch("t", "g", "c") == []
+        assert len(b.poll("t", "g", "c1", EO)) == 3
         assert b.stats("t").remaining == 0
-
-    def test_stale_commit(self):
-        b = make_broker()
-        b.create_topic("t", 1)
-        b.append("t", b"a")
-        b.join_group("t", "g", "c")
-        records = b.fetch("t", "g", "c")
-        offs = offsets_of(records)
-        b.commit_and_delete("t", "g", "c", offs, delete=True)
-        with pytest.raises(StaleCommit):
-            b.commit_and_delete("t", "g", "c", offs, delete=True)
+        b.expire_consumer("t", "g", "c1")
+        assert b.pending("t", "g") == 0
+        assert b.poll("t", "g", "c2", EO) == []
 
     def test_crash_redelivery_at_least_once(self):
         b = make_broker()
         b.create_topic("t", 1)
-        for i in range(3):
+        for i in range(4):
             b.append("t", bytes([i]))
-        b.join_group("t", "g", "dead")
-        b.join_group("t", "g", "alive")
-        fetched = b.fetch("t", "g", "dead", mode=ConsumerMode.AT_LEAST_ONCE)
-        assert len(fetched) == 3
-        b.expire_consumer("t", "g", "dead")
-        redelivered = b.fetch("t", "g", "alive", mode=ConsumerMode.AT_LEAST_ONCE)
-        assert {r.value for r in redelivered} == {r.value for r in fetched}
+        assert len(b.poll("t", "g", "dead1", ALO, max_records=2)) == 2
+        assert len(b.poll("t", "g", "dead2", ALO)) == 2
+        # crashes in reverse order still redeliver lowest offset first
+        b.expire_consumer("t", "g", "dead2")
+        b.expire_consumer("t", "g", "dead1")
+        redelivered = b.poll("t", "g", "alive", ALO)
+        assert [r.offset for r in redelivered] == [0, 1, 2, 3]
 
     def test_no_redelivery_at_most_once(self):
         b = make_broker()
         b.create_topic("t", 1)
         for i in range(3):
             b.append("t", bytes([i]))
-        b.join_group("t", "g", "dead")
-        b.join_group("t", "g", "alive")
-        assert len(b.fetch("t", "g", "dead", mode=ConsumerMode.AT_MOST_ONCE)) == 3
+        assert len(b.poll("t", "g", "dead", AMO)) == 3
         b.expire_consumer("t", "g", "dead")
-        assert b.fetch("t", "g", "alive", mode=ConsumerMode.AT_MOST_ONCE) == []
+        assert b.poll("t", "g", "alive", AMO) == []
 
     def test_lease_timeout_redelivery(self):
         b = make_broker(lease_ms=20)
         b.create_topic("t", 1)
         b.append("t", b"a")
-        b.join_group("t", "g", "dead")
-        b.join_group("t", "g", "alive")
-        assert len(b.fetch("t", "g", "dead")) == 1
-        import time
+        assert len(b.poll("t", "g", "dead", ALO)) == 1
         time.sleep(0.05)
-        assert len(b.fetch("t", "g", "alive")) == 1
+        assert len(b.poll("t", "g", "alive", ALO)) == 1
 
 
 class TestModePolls:

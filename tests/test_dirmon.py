@@ -1,5 +1,6 @@
 """Directory monitor: registration, scan semantics, temp-name convention."""
 import os
+import threading
 import time
 
 import pytest
@@ -163,3 +164,34 @@ def test_background_loop_picks_up_files(tmp_path, sink):
     finally:
         mon.stop()
     assert len(emitted) == 1
+
+
+def test_concurrent_scan_returns_after_sink(tmp_path):
+    # a scan that finds nothing new must not return while a file another
+    # scan already marked seen is still on its way to the sink; otherwise a
+    # poll racing a background scan can miss a file written before close
+    f1 = atomic_write(str(tmp_path), "f1")
+    emitted = []
+    entered, release = threading.Event(), threading.Event()
+
+    def blocking_sink(sid, payload):
+        if not entered.is_set():
+            entered.set()
+            release.wait(5)
+        emitted.append(payload.decode())
+
+    mon = DirectoryMonitor(blocking_sink)
+    mon.register_dir("s1", str(tmp_path))
+    first = threading.Thread(target=mon.scan_once, args=("s1",))
+    first.start()
+    assert entered.wait(5)
+    seen_by_second = []
+    second = threading.Thread(
+        target=lambda: seen_by_second.append((mon.scan_once("s1"), list(emitted))))
+    second.start()
+    second.join(0.2)
+    release.set()
+    first.join(5)
+    second.join(5)
+    assert not first.is_alive() and not second.is_alive()
+    assert seen_by_second == [([], [f1])]
