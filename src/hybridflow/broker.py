@@ -6,6 +6,7 @@ committed frontier per partition. Broker.poll is the only consume path:
 EXACTLY_ONCE and AT_MOST_ONCE delete what they deliver, while AT_LEAST_ONCE
 leases each batch until the consumer's next poll commits it, so a member that
 dies in between has its batch redelivered.
+Broker.poll never blocks; wait() blocks until the topic's version moves.
 """
 from __future__ import annotations
 
@@ -88,6 +89,12 @@ class _Topic:
         self.groups: dict[str, _Group] = {}
         self.rr_counter = 0
         self.lock = threading.RLock()
+        self.changed = threading.Condition(self.lock)
+        self.version = 0
+
+    def bump(self) -> None:  # caller holds the lock
+        self.version += 1
+        self.changed.notify_all()
 
     def join(self, group_id: str) -> _Group:
         group = self.groups.get(group_id)
@@ -135,7 +142,9 @@ class Broker:
         with t.lock:
             part = t.partitions[t.rr_counter % len(t.partitions)]
             t.rr_counter += 1
-            return part.append(value)
+            offset = part.append(value)
+            t.bump()
+            return offset
 
     # -- consumer side --
 
@@ -188,24 +197,25 @@ class Broker:
         with t.lock:
             group = t.join(group_id)
             group.reap_expired()
-            if mode is ConsumerMode.AT_LEAST_ONCE:
-                held = group.leases.pop(consumer, None)
-                if held is not None:
-                    for part_idx, offsets in held.offsets.items():
-                        group.mark_done(part_idx, offsets)
+            alo = mode is ConsumerMode.AT_LEAST_ONCE
+            held = group.leases.pop(consumer, None) if alo else None
+            if held is not None:
+                for part_idx, offsets in held.offsets.items():
+                    group.mark_done(part_idx, offsets)
             taken = self._take(t, group, max_records)
-            if mode is ConsumerMode.AT_LEAST_ONCE:
-                if taken:
-                    group.leases[consumer] = _Lease(
-                        offsets={p: [r.offset for r in recs] for p, recs in taken.items()},
-                        deadline=time.monotonic() + self.lease_ms / 1000.0,
-                    )
-            else:
+            if alo and taken:
+                group.leases[consumer] = _Lease(
+                    offsets={p: [r.offset for r in recs] for p, recs in taken.items()},
+                    deadline=time.monotonic() + self.lease_ms / 1000.0,
+                )
+            elif not alo:
                 for part_idx, recs in taken.items():
                     records = t.partitions[part_idx].records
                     for rec in recs:
                         del records[rec.offset]
                     group.mark_done(part_idx, [r.offset for r in recs])
+            if taken or held is not None:
+                t.bump()
             return [rec for recs in taken.values() for rec in recs]
 
     def expire_consumer(self, topic: str, group_id: str, consumer: str) -> None:
@@ -218,6 +228,31 @@ class Broker:
             lease = group.leases.pop(consumer, None)
             if lease is not None:
                 group.requeue(lease)
+                t.bump()
+
+    def version(self, topic: str) -> int:
+        """Change counter: appends, commits, redeliveries and wake() bump it."""
+        return self._topic(topic).version
+
+    def wake(self, topic: str | None = None) -> None:
+        """Count a change made outside the broker and wake one topic's waiters, or all."""
+        with self._lock:
+            topics = list(self._topics.values()) if topic is None else [self._topic(topic)]
+        for t in topics:
+            with t.lock:
+                t.bump()
+
+    def wait(self, topic: str, group_id: str, seen: int, deadline: float) -> None:
+        """Block while the version is `seen`, up to `deadline` or the group's next lease expiry."""
+        t = self._topic(topic)
+        with t.lock:
+            while t.version == seen:
+                leases = t.join(group_id).leases.values()
+                until = min([deadline, *(lease.deadline for lease in leases)])
+                remaining = until - time.monotonic()
+                if remaining <= 0:
+                    return
+                t.changed.wait(remaining)
 
     # -- inspection --
 
@@ -235,18 +270,17 @@ class Broker:
             )
 
     def pending(self, topic: str, group_id: str) -> int:
-        """Records not yet handed to the group (fresh plus redeliverable)."""
+        """Records the group has not finished: fresh, redeliverable or leased."""
         t = self._topic(topic)
         with t.lock:
             group = t.groups.get(group_id)
-            if group is not None:
-                group.reap_expired()
-            total = 0
-            for part in t.partitions:
-                cursor = group.cursor[part.index] if group else 0
-                total += sum(1 for off in part.records if off >= cursor)
-                if group:
-                    total += sum(
-                        1 for off in group.redeliver[part.index] if off in part.records
-                    )
+            if group is None:
+                return sum(len(part.records) for part in t.partitions)
+            group.reap_expired()
+            total = sum(len(offsets) for lease in group.leases.values()
+                        for offsets in lease.offsets.values())
+            for part in t.partitions:  # fresh: only offsets past the cursor
+                fresh = range(group.cursor[part.index], part.next_offset)
+                total += sum(1 for off in fresh if off in part.records)
+                total += sum(1 for off in group.redeliver[part.index] if off in part.records)
             return total

@@ -132,8 +132,9 @@ class DistroStreamClient:
         for pending in waiters:
             pending.event.set()
 
-    def request(self, verb: str, fields: list[str],
-                payload: bytes = b"") -> protocol.Frame:
+    def request(self, verb: str, fields: list[str], payload: bytes = b"",
+                wait_s: float = 0.0) -> protocol.Frame:
+        """Send one request and block for its reply; wait_s is a long poll's hold."""
         if self._closed:
             raise ServerUnreachable("client closed")
         corr = str(next(self._corr))
@@ -147,7 +148,7 @@ class DistroStreamClient:
             with self._plock:
                 self._pending.pop(corr, None)
             raise ServerUnreachable(str(exc)) from exc
-        if not pending.event.wait(self._timeout):
+        if not pending.event.wait(self._timeout + wait_s):
             with self._plock:
                 self._pending.pop(corr, None)
             raise ServerUnreachable(f"{verb} timed out after {self._timeout}s")
@@ -176,12 +177,10 @@ class DistroStreamClient:
     # -- registry operations --
 
     def register_stream(self, kind: StreamKind, alias: str | None,
-                        base_dir: str | None, partitions: int = 1,
-                        tick_ms: int | None = None) -> tuple[str, bool]:
+                        base_dir: str | None, partitions: int = 1) -> tuple[str, bool]:
         try:
             frame = self.request("REGISTER", [
                 kind.value, alias or "", base_dir or "", str(partitions),
-                str(tick_ms) if tick_ms else "",
             ])
         except ServerUnreachable as exc:
             raise RegistrationError(str(exc)) from exc
@@ -225,10 +224,14 @@ class DistroStreamClient:
         self.request("PUBREQ", [stream_id, token], pack_blocks(payloads))
 
     def poll_once(self, stream_id: str, token: str, mode: ConsumerMode,
-                  max_records: int | None = None,
-                  group: str | None = None) -> list[tuple[int, bytes]]:
+                  max_records: int | None = None, group: str | None = None,
+                  wait_ms: int = 0) -> tuple[list[tuple[int, bytes]], bool]:
+        """One POLLREQ held up to wait_ms: (publish_time, value) pairs, drained flag."""
         frame = self.request("POLLREQ", [
             stream_id, token, group or self.group, mode.value,
-            str(max_records) if max_records is not None else "",
-        ])
-        return protocol.unpack_elements(frame.payload)
+            str(max_records) if max_records is not None else "", str(wait_ms),
+        ], wait_s=wait_ms / 1000.0)
+        drained = frame.fields[1] == "1"
+        if drained:  # the INVALIDATE push may still be in flight
+            self.cache.invalidate(stream_id)
+        return protocol.unpack_elements(frame.payload), drained

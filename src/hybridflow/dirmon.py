@@ -14,16 +14,14 @@ from typing import Callable
 
 from .errors import InvalidPath
 
-DEFAULT_TICK_MS = 200
+# how long a file renamed into a monitored directory can go unnoticed
+DEFAULT_TICK_MS = 50
 
 
 @dataclass
 class MonitorState:
-    stream_id: str
     base_dir: str
-    tick_ms: int
     seen: set[str] = field(default_factory=set)
-    next_due: float = 0.0
 
 
 class DirectoryMonitor:
@@ -31,6 +29,7 @@ class DirectoryMonitor:
 
     The sink is called as sink(stream_id, payload) with the absolute path
     encoded as UTF-8; the server wires it to the stream's delivery queue.
+    Registering a directory scans it at once, not at the next tick.
     """
 
     def __init__(self, sink: Callable[[str, bytes], None],
@@ -40,10 +39,10 @@ class DirectoryMonitor:
         self._lock = threading.RLock()
         self._tick_ms = tick_ms
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
 
-    def register_dir(self, stream_id: str, base_dir: str,
-                     tick_ms: int | None = None) -> None:
+    def register_dir(self, stream_id: str, base_dir: str) -> None:
         if not os.path.isabs(base_dir):
             raise InvalidPath(f"base_dir must be absolute: {base_dir!r}")
         if not os.path.isdir(base_dir) or not os.access(base_dir, os.R_OK):
@@ -51,11 +50,8 @@ class DirectoryMonitor:
         with self._lock:
             if stream_id in self._states:
                 return
-            self._states[stream_id] = MonitorState(
-                stream_id=stream_id,
-                base_dir=os.path.abspath(base_dir),
-                tick_ms=tick_ms if tick_ms is not None else self._tick_ms,
-            )
+            self._states[stream_id] = MonitorState(base_dir=os.path.abspath(base_dir))
+        self._wake.set()
 
     def unregister(self, stream_id: str) -> None:
         with self._lock:
@@ -107,21 +103,16 @@ class DirectoryMonitor:
 
     def stop(self) -> None:
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
 
     def _run(self) -> None:
-        import time
         while not self._stop.is_set():
-            now = time.monotonic()
-            wake = now + 1.0
+            self._wake.clear()  # before the snapshot, so no registration is missed
             with self._lock:
-                due = [s for s in self._states.values() if s.next_due <= now]
-                for state in self._states.values():
-                    if state.next_due <= now:
-                        state.next_due = now + state.tick_ms / 1000.0
-                    wake = min(wake, state.next_due)
-            for state in due:
-                self.scan_once(state.stream_id)
-            self._stop.wait(max(0.001, wake - time.monotonic()))
+                stream_ids = list(self._states)
+            for stream_id in stream_ids:
+                self.scan_once(stream_id)
+            self._wake.wait(self._tick_ms / 1000.0 if stream_ids else None)

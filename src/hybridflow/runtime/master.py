@@ -375,13 +375,10 @@ class Runtime:
             self._wake()
 
     def wait_for_workers(self, count: int, timeout_s: float = 30.0) -> None:
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            with self._lock:
-                if len(self._resources) >= count:
-                    return
-            time.sleep(0.02)
-        raise TimeoutError(f"{count} workers did not join within {timeout_s}s")
+        # _accept_workers notifies through _wake() after each join
+        with self._cond:
+            if not self._cond.wait_for(lambda: len(self._resources) >= count, timeout_s):
+                raise TimeoutError(f"{count} workers did not join within {timeout_s}s")
 
     def _worker_lost(self, worker_id: str) -> None:
         with self._cond:

@@ -7,6 +7,10 @@ of a stream closes, the server flags the stream closed and pushes an
 INVALIDATE frame to every connected client before answering the closing
 request, so a client can never observe a stale open flag after its close
 round trip completes.
+
+POLLREQ is a long poll: one that finds nothing waits on its own thread, never
+on the connection's reader. Its reply carries a drained flag: the stream was
+closed before the poll's scan and the group has nothing left to finish.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 from . import protocol
 from .broker import DEFAULT_LEASE_MS, Broker
 from .codec import unpack_blocks
-from .dirmon import DirectoryMonitor
+from .dirmon import DEFAULT_TICK_MS, DirectoryMonitor
 from .errors import (
     AliasKindMismatch, BackendError, BindError, ClosedStreamError,
     HybridflowError, InvalidPath, ProtocolError, UnknownStream,
@@ -152,7 +156,7 @@ class StreamServer:
     """TCP front end over the registry, broker, and directory monitors."""
 
     def __init__(self, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-                 lease_ms: int | None = None, tick_ms: int = 200) -> None:
+                 lease_ms: int | None = None, tick_ms: int = DEFAULT_TICK_MS) -> None:
         self.host = host
         self._requested_port = port
         self.port: int | None = None
@@ -195,8 +199,7 @@ class StreamServer:
         """Run until interrupted; blocking variant used by the CLI."""
         self.start()
         try:
-            while not self._stop.is_set():
-                time.sleep(0.2)
+            self._stop.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -205,6 +208,7 @@ class StreamServer:
     def stop(self) -> None:
         self._stop.set()
         self.monitor.stop()
+        self.broker.wake()  # parked polls answer once they see the stop flag
         if self._sock is not None:
             try:
                 self._sock.close()
@@ -257,35 +261,45 @@ class StreamServer:
                     except OSError:
                         pass
                     break
-                try:
-                    reply = self._dispatch(conn, frame)
-                except HybridflowError as exc:
-                    reply = protocol.err(frame.corr_id, type(exc).__name__, str(exc))
-                    self._log(frame, f"error:{type(exc).__name__}")
-                except Exception as exc:  # noqa: BLE001 - protocol robustness
-                    reply = protocol.err(frame.corr_id, "InternalError", str(exc))
-                    self._log(frame, "error:internal")
-                try:
-                    conn.send(reply)
-                except OSError:
+                if not self._answer(conn, frame, self._dispatch, conn, frame):
                     break
         finally:
             self._drop_conn(conn)
+
+    def _answer(self, conn: protocol.Connection, frame: protocol.Frame,
+                handler, *args) -> bool:
+        """Send the handler's reply (None: it answers later), or an ERR; False if gone."""
+        try:
+            reply = handler(*args)
+        except HybridflowError as exc:
+            reply = protocol.err(frame.corr_id, type(exc).__name__, str(exc))
+            self._log(frame, f"error:{type(exc).__name__}")
+        except Exception as exc:  # noqa: BLE001 - protocol robustness
+            reply = protocol.err(frame.corr_id, "InternalError", str(exc))
+            self._log(frame, "error:internal")
+        try:
+            if reply is not None:
+                conn.send(reply)
+        except OSError:
+            return False
+        return True
 
     def _drop_conn(self, conn: protocol.Connection) -> None:
         with self._conn_lock:
             self._conns.discard(conn)
             grants = self._conn_grants.pop(conn, set())
         conn.close()
+        self.broker.wake()  # its parked polls end without taking anything
         # a producer that vanishes without closing is treated as closed
         for stream_id, token in grants:
             try:
                 if self.registry.close_producer(stream_id, token):
-                    self._push_invalidate(stream_id)
+                    self._closed(stream_id)
             except UnknownStream:
                 pass
 
-    def _push_invalidate(self, stream_id: str) -> None:
+    def _closed(self, stream_id: str) -> None:
+        """Announce a close: invalidate client caches, then wake parked polls."""
         with self._conn_lock:
             targets = list(self._conns)
         frame = protocol.Frame(verb="INVALIDATE", fields=[stream_id])
@@ -294,6 +308,7 @@ class StreamServer:
                 target.send(frame)
             except OSError:
                 pass
+        self.broker.wake(stream_id)
 
     def _log(self, frame: protocol.Frame, outcome: str) -> None:
         stream_id = frame.fields[0] if frame.fields else "-"
@@ -321,8 +336,6 @@ class StreamServer:
         alias = self._field(frame, 1, "alias") or None
         base_dir = self._field(frame, 2, "base_dir") or None
         partitions = int(self._field(frame, 3, "partitions") or "1")
-        tick_raw = frame.fields[4] if len(frame.fields) > 4 else ""
-        tick_ms = int(tick_raw) if tick_raw else None
         if kind is StreamKind.FILE:
             if not base_dir:
                 raise InvalidPath("FILE streams require base_dir")
@@ -339,7 +352,7 @@ class StreamServer:
         if created:
             self.broker.create_topic(entry.id, partition_count=partitions)
             if kind is StreamKind.FILE:
-                self.monitor.register_dir(entry.id, base_dir, tick_ms=tick_ms)
+                self.monitor.register_dir(entry.id, base_dir)
         self._log(frame, f"id={entry.id} created={int(created)}")
         return protocol.ok(frame.corr_id, [entry.id, "1" if created else "0"])
 
@@ -379,7 +392,7 @@ class StreamServer:
             fully_closed = self.registry.close_producer(stream_id, token)
         if fully_closed:
             # invalidations go out before the closing client gets its answer
-            self._push_invalidate(stream_id)
+            self._closed(stream_id)
         with self._conn_lock:
             if conn in self._conn_grants:
                 self._conn_grants[conn].discard((stream_id, token))
@@ -408,19 +421,46 @@ class StreamServer:
         self._log(frame, f"published={len(payloads)}")
         return protocol.ok(frame.corr_id, [str(len(payloads))])
 
-    def _op_pollreq(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
+    def _op_pollreq(self, conn: protocol.Connection,
+                    frame: protocol.Frame) -> protocol.Frame | None:
         stream_id = self._field(frame, 0, "id")
         token = self._field(frame, 1, "token")
         group = self._field(frame, 2, "group")
         mode = ConsumerMode(self._field(frame, 3, "mode"))
-        max_raw = frame.fields[4] if len(frame.fields) > 4 else ""
+        max_raw, wait_raw = (frame.fields[4:6] + ["", ""])[:2]
         max_records = int(max_raw) if max_raw else None
+        deadline = time.monotonic() + int(wait_raw or 0) / 1000.0
         entry = self.registry.get(stream_id)
         self.registry.add_consumer(stream_id, token, group)
-        if entry.kind is StreamKind.FILE:
-            # scan synchronously so files written before a producer's close
-            # are in the queue by the time the closed flag is observable
-            self.monitor.scan_once(stream_id)
-        records = self.broker.poll(entry.id, group, token, mode, max_records)
-        payload = protocol.pack_elements([(r.publish_time, r.value) for r in records])
-        return protocol.ok(frame.corr_id, [str(len(records))], payload)
+
+        def attempt() -> protocol.Frame | None:
+            if conn not in self._conns:  # never take records for a consumer that left
+                return protocol.err(frame.corr_id, "ServerUnreachable", "connection dropped")
+            closed = entry.closed
+            if entry.kind is StreamKind.FILE:
+                # scan synchronously so files written before a producer's close
+                # are in the queue by the time the closed flag is observable
+                self.monitor.scan_once(stream_id)
+            records = self.broker.poll(stream_id, group, token, mode, max_records)
+            drained = closed and self.broker.pending(stream_id, group) == 0
+            if not (records or drained or self._stop.is_set()
+                    or time.monotonic() >= deadline):
+                return None
+            payload = protocol.pack_elements([(r.publish_time, r.value) for r in records])
+            return protocol.ok(frame.corr_id, [str(len(records)), str(int(drained))], payload)
+
+        def park(seen: int) -> protocol.Frame:
+            # seen predates the empty attempt, so a change since ends the wait
+            reply = None
+            while reply is None:
+                self.broker.wait(stream_id, group, seen, deadline)
+                seen = self.broker.version(stream_id)
+                reply = attempt()
+            return reply
+
+        seen = self.broker.version(stream_id)
+        reply = attempt()
+        if reply is None:
+            threading.Thread(target=self._answer, args=(conn, frame, park, seen),
+                             name=f"ds-poll-{stream_id}", daemon=True).start()
+        return reply

@@ -15,22 +15,18 @@ from .codec import DEFAULT_CODEC, Codec
 from .errors import BackendError
 from .model import ConsumerMode, StreamElement, StreamHandle, StreamKind
 
-DEFAULT_POLL_TICK_MS = 50
-
 
 class DistroStream:
     """Publish/poll/close/metadata API bound to one backend stream."""
 
     def __init__(self, client: DistroStreamClient, handle: StreamHandle,
                  codec: Codec = DEFAULT_CODEC,
-                 group: str | None = None,
-                 poll_tick_ms: int = DEFAULT_POLL_TICK_MS) -> None:
+                 group: str | None = None) -> None:
         self._client = client
         self.handle = handle
         self._codec = codec
         self._group = group
         self._token = client.new_token()
-        self._tick_s = poll_tick_ms / 1000.0
 
     # -- metadata --
 
@@ -78,103 +74,66 @@ class DistroStream:
 
     # -- consumer side --
 
-    def _poll_once(self, max_elements: int | None) -> list[StreamElement]:
-        raw = self._client.poll_once(
+    def _poll(self, timeout_ms: int | None,
+              max_elements: int | None) -> tuple[list[StreamElement], bool]:
+        raw, drained = self._client.poll_once(
             self.handle.id, self._token, self.handle.consumer_mode,
-            max_elements, self._group)
-        return [StreamElement(payload=value, publish_time=ts) for ts, value in raw]
+            max_elements, self._group, wait_ms=timeout_ms or 0)
+        return [StreamElement(payload=value, publish_time=ts) for ts, value in raw], drained
 
     def poll(self, timeout_ms: int | None = None,
              max_elements: int | None = None) -> list[StreamElement]:
         """Return all currently unread elements for this consumer's group.
 
         Without a timeout the call returns immediately (possibly empty).
-        With one, it waits until an element arrives, the timeout expires, or
-        the stream closes mid-wait (early return with whatever is available).
+        With one, the server holds the request until an element arrives, the
+        timeout expires, or the stream is closed and drained (early and empty).
         """
-        elements = self._poll_once(max_elements)
-        if elements or timeout_ms is None:
-            return elements
-        deadline = time.monotonic() + timeout_ms / 1000.0
-        while True:
-            if self.is_closed():
-                return self._poll_once(max_elements)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return []
-            time.sleep(min(self._tick_s, remaining))
-            elements = self._poll_once(max_elements)
-            if elements:
-                return elements
+        return self._poll(timeout_ms, max_elements)[0]
 
     def drain(self, proc=None, max_elements: int | None = None,
-              timeout_ms: int = 10 * 60 * 1000,
-              settle_ms: int = 0) -> list[StreamElement]:
-        """Consume until the stream is closed and empty.
+              timeout_ms: int = 10 * 60 * 1000) -> list[StreamElement]:
+        """Consume until the server reports the stream closed and drained.
 
-        The loop always finishes with an empty poll after observing the
-        closed flag, which also acknowledges the final at-least-once batch.
-        settle_ms keeps the consumer polling that much longer after the
-        stream first looks drained, so records redelivered from a crashed
-        group member (lease expiry) are still picked up.
+        Other members' leases count as not drained, so a crashed member's
+        batch is redelivered first; the final empty poll acknowledges this
+        consumer's last at-least-once batch.
         """
         collected: list[StreamElement] = []
         deadline = time.monotonic() + timeout_ms / 1000.0
-        quiet_since: float | None = None
-        while time.monotonic() < deadline:
-            batch = self.poll(timeout_ms=int(self._tick_s * 1000), max_elements=max_elements)
+        while True:
+            wait_ms = max(0, int((deadline - time.monotonic()) * 1000))
+            batch, drained = self._poll(wait_ms, max_elements)
             if proc is not None:
                 for element in batch:
                     proc(element)
             collected.extend(batch)
-            if batch:
-                quiet_since = None
-                continue
-            if self.is_closed():
-                final = self._poll_once(max_elements)
-                if final:
-                    if proc is not None:
-                        for element in final:
-                            proc(element)
-                    collected.extend(final)
-                    quiet_since = None
-                    continue
-                now = time.monotonic()
-                if quiet_since is None:
-                    quiet_since = now
-                if (now - quiet_since) * 1000.0 >= settle_ms:
-                    return collected
-                time.sleep(self._tick_s)
-        return collected
+            if drained or not wait_ms:
+                return collected
 
 
 def create_stream(client: DistroStreamClient, kind: StreamKind,
                   alias: str | None = None, base_dir: str | None = None,
                   consumer_mode: ConsumerMode = ConsumerMode.EXACTLY_ONCE,
-                  partitions: int = 1, tick_ms: int | None = None,
-                  register_producer: bool = False,
+                  partitions: int = 1, register_producer: bool = False,
                   codec: Codec = DEFAULT_CODEC,
-                  group: str | None = None,
-                  poll_tick_ms: int = DEFAULT_POLL_TICK_MS) -> DistroStream:
+                  group: str | None = None) -> DistroStream:
     """Create (or attach to, by alias) a stream and return its local binding.
 
     register_producer acquires a producer grant for this instance up front;
     file producers need it because writing files never goes through publish.
     """
     stream_id, _created = client.register_stream(
-        kind, alias, base_dir, partitions=partitions, tick_ms=tick_ms)
+        kind, alias, base_dir, partitions=partitions)
     handle = StreamHandle(id=stream_id, kind=kind, alias=alias,
                           base_dir=base_dir, consumer_mode=consumer_mode)
-    stream = DistroStream(client, handle, codec=codec, group=group,
-                          poll_tick_ms=poll_tick_ms)
+    stream = DistroStream(client, handle, codec=codec, group=group)
     if register_producer:
         client.add_producer(stream_id, stream._token)
     return stream
 
 
 def attach(client: DistroStreamClient, handle: StreamHandle,
-           codec: Codec = DEFAULT_CODEC, group: str | None = None,
-           poll_tick_ms: int = DEFAULT_POLL_TICK_MS) -> DistroStream:
+           codec: Codec = DEFAULT_CODEC, group: str | None = None) -> DistroStream:
     """Bind an existing handle (e.g. received as a task argument) locally."""
-    return DistroStream(client, handle, codec=codec, group=group,
-                        poll_tick_ms=poll_tick_ms)
+    return DistroStream(client, handle, codec=codec, group=group)

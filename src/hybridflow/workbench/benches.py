@@ -66,7 +66,6 @@ def _scale_once(cfg: BenchConfig, writers: int, readers: int) -> ScaleRun:
             rt.put(cid, {
                 "reader_index": r, "ramp_ms": cfg.reader_ramp_ms,
                 "proc_ms": cfg.process_time_ms, "poll_cap": cfg.poll_cap,
-                "tick_ms": cfg.tick_ms,
             })
             rt.submit(TD + "scale_reader",
                       [stream_in(stream.handle), obj_in(cid),
@@ -193,7 +192,7 @@ def _lifecycle_stream_config(stack: _RemoteStack, cfg: BenchConfig,
     tag = f"sp-{size}-{count}"
     payload = make_payload(f"life:{size}", size)
     stream = create_stream(stack.client, StreamKind.OBJECT)
-    rt.put(f"{tag}-cfg", {"count": count, "tick_ms": 10})
+    rt.put(f"{tag}-cfg", {"count": count})
     task_ids = []
     t0 = time.monotonic()
     for t in range(cfg.lifecycle_tasks):

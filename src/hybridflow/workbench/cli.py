@@ -10,7 +10,7 @@ import logging
 import sys
 
 from ..model import ConsumerMode
-from ..server import DEFAULT_HOST, DEFAULT_PORT, StreamServer
+from ..server import DEFAULT_HOST, DEFAULT_PORT, DEFAULT_TICK_MS, StreamServer
 from .benches import bench_lifecycle, bench_scalability, crossover_table
 from .config import load_config, parse_int_list
 from .reports import CsvLog
@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     p_server = sub.add_parser("server", help="run the stream metadata server")
     p_server.add_argument("--host", default=DEFAULT_HOST)
     p_server.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_server.add_argument("--tick-ms", type=int, default=200)
+    p_server.add_argument("--tick-ms", type=int, default=DEFAULT_TICK_MS)
     p_server.set_defaults(fn=_cmd_server)
 
     p_worker = sub.add_parser("worker", help="run a task worker process")

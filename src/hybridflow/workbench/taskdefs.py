@@ -162,8 +162,7 @@ def filter_stream(in_stream, out_stream, cfg, _out):
         if crash_after and seen >= crash_after:
             raise RuntimeError("injected filter crash")
 
-    in_stream.drain(proc=forward, settle_ms=cfg.get("settle_ms", 0),
-                    timeout_ms=cfg.get("drain_timeout_ms", 120_000))
+    in_stream.drain(proc=forward, timeout_ms=cfg.get("drain_timeout_ms", 120_000))
     out_stream.close()
     return seen
 
@@ -171,7 +170,6 @@ def filter_stream(in_stream, out_stream, cfg, _out):
 def extract_stream(in_stream, cfg, _out):
     collected = []
     in_stream.drain(proc=lambda el: collected.append(int(el.payload)),
-                    settle_ms=cfg.get("settle_ms", 0),
                     timeout_ms=cfg.get("drain_timeout_ms", 120_000))
     return collected
 
@@ -220,8 +218,7 @@ def batching_filter(in_stream, cfg, _out):
             spawn(batch)
             batch.clear()
 
-    in_stream.drain(proc=take, settle_ms=cfg.get("settle_ms", 0),
-                    timeout_ms=cfg.get("drain_timeout_ms", 120_000))
+    in_stream.drain(proc=take, timeout_ms=cfg.get("drain_timeout_ms", 120_000))
     if batch:
         spawn(batch)
         batch.clear()
@@ -264,21 +261,9 @@ def scale_writer(stream, cfg):
 
 def scale_reader(stream, cfg, _out):
     _sleep_ms(cfg["ramp_ms"] * (cfg["reader_index"] + 1))
-    processed = 0
-    cap = cfg.get("poll_cap") or None
-    tick = cfg.get("tick_ms", 25)
-    while True:
-        batch = stream.poll(timeout_ms=tick, max_elements=cap)
-        if batch:
-            _sleep_ms(len(batch) * cfg["proc_ms"])
-            processed += len(batch)
-            continue
-        if stream.is_closed():
-            final = stream.poll(max_elements=cap)
-            if not final:
-                return processed
-            _sleep_ms(len(final) * cfg["proc_ms"])
-            processed += len(final)
+    processed = stream.drain(proc=lambda _el: _sleep_ms(cfg["proc_ms"]),
+                             max_elements=cfg.get("poll_cap") or None)
+    return len(processed)
 
 
 # --- lifecycle bench ---
@@ -295,18 +280,14 @@ def sp_checksum(stream, cfg, _out):
     want = cfg["count"]
     got = 0
     total = 0
-    tick = cfg.get("tick_ms", 25)
     while got < want:
-        batch = stream.poll(timeout_ms=tick, max_elements=want - got)
+        # empty only once the stream is closed and drained, or on timeout
+        batch = stream.poll(timeout_ms=cfg.get("drain_timeout_ms", 120_000),
+                            max_elements=want - got)
+        if not batch:
+            break
         for element in batch:
             total ^= crc(element.payload)
         got += len(batch)
-        if not batch and stream.is_closed():
-            final = stream.poll(max_elements=want - got)
-            if not final:
-                break
-            for element in final:
-                total ^= crc(element.payload)
-            got += len(final)
     _sleep_ms(cfg.get("work_ms", 0))
     return {"count": got, "xor": total}

@@ -136,8 +136,7 @@ def _uc1_hybrid_rep(stack: Stack, cfg: BenchConfig, rep: int, root: str):
         outdir = _fresh_dir(root, f"hyb-{rep}", f"out{i}")
         if kind is StreamKind.FILE:
             simdir = _fresh_dir(root, f"hyb-{rep}", f"sim{i}")
-            stream = create_stream(stack.client, kind, base_dir=simdir,
-                                   tick_ms=cfg.tick_ms)
+            stream = create_stream(stack.client, kind, base_dir=simdir)
             method = TD + "sim_to_stream_files"
         else:
             stream = create_stream(stack.client, kind)
@@ -148,28 +147,23 @@ def _uc1_hybrid_rep(stack: Stack, cfg: BenchConfig, rep: int, root: str):
     result_ids = []
     for i, cfg_id, stream, outdir in streams:
         outs = []
-        seen = 0
-        while True:
-            batch = stream.poll(timeout_ms=max(cfg.tick_ms * 4, 20))
-            if not batch and stream.is_closed():
-                batch = stream.poll()
-                if not batch:
-                    break
-            for element in batch:
-                if kind is StreamKind.FILE:
-                    path = element.text()
-                    out = os.path.join(outdir, os.path.basename(path) + ".out")
-                    rt.submit(TD + "proc_file",
-                              [file_in(path), file_out(out), obj_in(cfg_id)])
-                    outs.append(out)
-                else:
-                    el_id = f"uc1h-el-{rep}-{i}-{seen}"
-                    out_id = f"uc1h-crc-{rep}-{i}-{seen}"
-                    rt.put(el_id, element.payload)
-                    rt.submit(TD + "proc_object",
-                              [obj_in(el_id), obj_in(cfg_id), obj_out(out_id)])
-                    outs.append(out_id)
-                seen += 1
+
+        def submit(element):
+            if kind is StreamKind.FILE:
+                path = element.text()
+                out = os.path.join(outdir, os.path.basename(path) + ".out")
+                rt.submit(TD + "proc_file",
+                          [file_in(path), file_out(out), obj_in(cfg_id)])
+                outs.append(out)
+            else:
+                el_id = f"uc1h-el-{rep}-{i}-{len(outs)}"
+                out_id = f"uc1h-crc-{rep}-{i}-{len(outs)}"
+                rt.put(el_id, element.payload)
+                rt.submit(TD + "proc_object",
+                          [obj_in(el_id), obj_in(cfg_id), obj_out(out_id)])
+                outs.append(out_id)
+
+        stream.drain(proc=submit)
         rid = f"uc1h-merge-{rep}-{i}"
         if kind is StreamKind.FILE:
             gif = os.path.join(outdir, "merged.gif")
@@ -307,14 +301,12 @@ def uc3_external_stream(filters: int, payloads: int, cfg: BenchConfig,
         sensor_stream = create_stream(stack.client, StreamKind.OBJECT,
                                       consumer_mode=mode)
         extract_stream_obj = create_stream(stack.client, StreamKind.OBJECT)
-        settle = cfg.lease_ms + 1000 if crash_filter else 0
         filter_ids = []
         for f in range(filters):
             cid = f"uc3f-{f}"
             # in the crash scenario the doomed filter starts alone so it is
             # guaranteed to hold leased elements when it dies
             rt.put(cid, {
-                "settle_ms": settle,
                 "crash_after": 1 if (crash_filter and f == 0) else 0,
                 "start_delay_ms": 200 if (crash_filter and f != 0) else 0,
             })
@@ -323,7 +315,7 @@ def uc3_external_stream(filters: int, payloads: int, cfg: BenchConfig,
                        stream_out(extract_stream_obj.handle),
                        obj_in(cid), obj_out(f"uc3-fcount-{f}")])
             filter_ids.append(f"uc3-fcount-{f}")
-        rt.put("uc3x", {"settle_ms": 0})
+        rt.put("uc3x", {})
         rt.submit(TD + "extract_stream",
                   [stream_in(extract_stream_obj.handle), obj_in("uc3x"),
                    obj_out("uc3-extracted")])
@@ -392,7 +384,7 @@ def uc4_nested(batch_size: int, payloads: int, cfg: BenchConfig) -> UC4Result:
         s1 = create_stream(stack.client, StreamKind.OBJECT)
         tag = "uc4"
         rt.put("uc4cfg", {"batch_size": batch_size, "tag": tag,
-                          "cfg_id": "uc4cfg", "batch_ms": 0, "settle_ms": 0})
+                          "cfg_id": "uc4cfg", "batch_ms": 0})
         rt.submit(TD + "batching_filter",
                   [stream_in(s1.handle), obj_in("uc4cfg"), obj_out("uc4-filt")])
 

@@ -541,10 +541,9 @@ def test_criterion_9_file_stream_end_to_end(tmp_path):
                                          group="files")
     try:
         sp = create_stream(producer_client, StreamKind.FILE, alias="f100",
-                           base_dir=str(tmp_path), register_producer=True,
-                           tick_ms=20)
+                           base_dir=str(tmp_path), register_producer=True)
         sc = create_stream(consumer_client, StreamKind.FILE, alias="f100",
-                           base_dir=str(tmp_path), tick_ms=20)
+                           base_dir=str(tmp_path))
         expected = set()
 
         def writer():

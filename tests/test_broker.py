@@ -1,4 +1,5 @@
 """Log broker: topics, offsets, groups, deletion, crash redelivery."""
+import threading
 import time
 
 import pytest
@@ -200,6 +201,50 @@ class TestModePolls:
             b.append("t", bytes([i]))
         assert len(b.poll("t", "g", "c1", ConsumerMode.EXACTLY_ONCE)) == 4
         assert b.poll("t", "g", "c2", ConsumerMode.EXACTLY_ONCE) == []
+
+
+class TestPendingAndWait:
+    def test_pending_counts_leased_records(self):
+        b = make_broker()
+        b.create_topic("t", 1)
+        for i in range(3):
+            b.append("t", bytes([i]))
+        assert b.pending("t", "g") == 3
+        assert len(b.poll("t", "g", "c1", ALO, max_records=2)) == 2
+        assert b.pending("t", "g") == 3  # two leased, one fresh
+        assert len(b.poll("t", "g", "c1", ALO)) == 1  # commits the first two
+        assert b.pending("t", "g") == 1
+        assert b.poll("t", "g", "c1", ALO) == []
+        assert b.pending("t", "g") == 0
+
+    def test_change_before_wait_is_not_lost(self):
+        b = make_broker()
+        b.create_topic("t", 1)
+        seen = b.version("t")
+        assert b.poll("t", "g", "c1", EO) == []
+        b.append("t", b"late")  # lands between the empty poll and the wait
+        start = time.monotonic()
+        b.wait("t", "g", seen, time.monotonic() + 5)
+        assert time.monotonic() - start < 0.5
+        assert len(b.poll("t", "g", "c1", EO)) == 1
+
+    def test_wake_releases_a_waiter(self):
+        b = make_broker()
+        b.create_topic("t", 1)
+        threading.Timer(0.05, b.wake, args=("t",)).start()
+        start = time.monotonic()
+        b.wait("t", "g", b.version("t"), time.monotonic() + 5)
+        assert 0.04 <= time.monotonic() - start < 1.0
+
+    def test_wait_ends_at_lease_deadline(self):
+        b = make_broker(lease_ms=100)
+        b.create_topic("t", 1)
+        b.append("t", b"v")
+        assert len(b.poll("t", "g", "dead", ALO)) == 1
+        start = time.monotonic()
+        b.wait("t", "g", b.version("t"), time.monotonic() + 5)
+        assert 0.08 <= time.monotonic() - start < 1.0
+        assert [r.value for r in b.poll("t", "g", "live", ALO)] == [b"v"]
 
 
 class TestInvariants:

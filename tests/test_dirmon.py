@@ -166,6 +166,34 @@ def test_background_loop_picks_up_files(tmp_path, sink):
     assert len(emitted) == 1
 
 
+def test_register_on_running_monitor_scans_without_waiting(tmp_path, sink):
+    # registration wakes the loop, which may be idle with nothing registered
+    emitted, cb = sink
+    f1 = write_file(str(tmp_path), "f1")
+    mon = DirectoryMonitor(cb, tick_ms=20)
+    mon.start()
+    try:
+        time.sleep(0.05)  # the loop has found nothing to scan and gone idle
+        mon.register_dir("s1", str(tmp_path))
+        deadline = time.monotonic() + 0.2  # a few ticks
+        while not emitted and time.monotonic() < deadline:
+            time.sleep(0.005)
+    finally:
+        mon.stop()
+    assert emitted == [("s1", f1)]
+
+
+def test_stop_ends_an_idle_loop_at_once(tmp_path, sink):
+    _, cb = sink
+    mon = DirectoryMonitor(cb, tick_ms=60_000)
+    mon.register_dir("s1", str(tmp_path))
+    mon.start()
+    time.sleep(0.05)
+    start = time.monotonic()
+    mon.stop()
+    assert time.monotonic() - start < 1.0
+
+
 def test_concurrent_scan_returns_after_sink(tmp_path):
     # a scan that finds nothing new must not return while a file another
     # scan already marked seen is still on its way to the sink; otherwise a

@@ -1,14 +1,17 @@
 """Stream API over a live server: create, publish, poll, close, metadata."""
 import os
+import threading
 import time
 
 import pytest
 
+from hybridflow.client import DistroStreamClient
 from hybridflow.errors import (
     AliasKindMismatch, BackendError, ClosedStreamError, InvalidPath,
-    RegistrationError, UnknownStream,
+    RegistrationError, ServerUnreachable, UnknownStream,
 )
 from hybridflow.model import ConsumerMode, StreamHandle, StreamKind
+from hybridflow.server import StreamServer
 from hybridflow.streams import attach, create_stream
 
 
@@ -97,7 +100,8 @@ class TestPublishPoll:
         assert s.poll(timeout_ms=60) == []
         elapsed = time.monotonic() - start
         assert elapsed >= 0.06
-        # returns within T plus one tick (plus generous scheduling slack)
+        # the server answers once the wait runs out (plus generous
+        # scheduling slack)
         assert elapsed < 0.06 + 0.05 + 0.25
 
     def test_poll_timeout_sees_late_publish(self, client_factory):
@@ -109,6 +113,84 @@ class TestPublishPoll:
         threading.Timer(0.05, lambda: s1.publish(b"v")).start()
         got = s2.poll(timeout_ms=2000)
         assert [e.payload for e in got] == [b"v"]
+
+    def test_long_poll_is_one_request(self, client_factory, monkeypatch):
+        producer = client_factory()
+        consumer = client_factory()
+        sp = create_stream(producer, StreamKind.OBJECT, alias="one-req")
+        sc = create_stream(consumer, StreamKind.OBJECT, alias="one-req")
+        verbs = []
+        request = consumer.request
+
+        def counting(verb, *args, **kwargs):
+            verbs.append(verb)
+            return request(verb, *args, **kwargs)
+
+        monkeypatch.setattr(consumer, "request", counting)
+        threading.Timer(0.3, lambda: sp.publish(b"v")).start()
+        start = time.monotonic()
+        got = sc.poll(timeout_ms=2000)
+        assert [e.payload for e in got] == [b"v"]
+        assert time.monotonic() - start >= 0.25
+        assert verbs == ["POLLREQ"]
+
+    def test_parked_poll_leaves_the_connection_free(self, client):
+        # a poll waiting on one stream must not hold up other requests that
+        # share the client's connection
+        waiting = create_stream(client, StreamKind.OBJECT, register_producer=True)
+        other = create_stream(client, StreamKind.OBJECT)
+        got = []
+        poller = threading.Thread(target=lambda: got.extend(waiting.poll(timeout_ms=3000)))
+        poller.start()
+        time.sleep(0.1)
+        start = time.monotonic()
+        other.publish(b"x")
+        assert time.monotonic() - start < 0.5
+        start = time.monotonic()
+        client.lookup(other.id)
+        assert time.monotonic() - start < 0.5
+        assert poller.is_alive()
+        waiting.publish(b"wake")
+        poller.join(5)
+        assert [e.payload for e in got] == [b"wake"]
+
+    def test_append_after_empty_poll_wakes_parked_poll(self, server, client, monkeypatch):
+        s = create_stream(client, StreamKind.OBJECT, register_producer=True)
+        poll = server.broker.poll
+
+        def poll_then_append(*args, **kwargs):
+            records = poll(*args, **kwargs)
+            if not records:
+                monkeypatch.setattr(server.broker, "poll", poll)
+                server.broker.append(s.id, b"late")
+            return records
+
+        monkeypatch.setattr(server.broker, "poll", poll_then_append)
+        start = time.monotonic()
+        got = s.poll(timeout_ms=5000)
+        assert [e.payload for e in got] == [b"late"]
+        assert time.monotonic() - start < 1.0
+
+    def test_close_after_empty_poll_wakes_parked_poll(self, server, client_factory,
+                                                     monkeypatch):
+        producer = client_factory()
+        consumer = client_factory()
+        sp = create_stream(producer, StreamKind.OBJECT, alias="late-close",
+                           register_producer=True)
+        sc = create_stream(consumer, StreamKind.OBJECT, alias="late-close")
+        poll = server.broker.poll
+
+        def poll_then_close(*args, **kwargs):
+            records = poll(*args, **kwargs)
+            monkeypatch.setattr(server.broker, "poll", poll)
+            sp.close()
+            return records
+
+        monkeypatch.setattr(server.broker, "poll", poll_then_close)
+        start = time.monotonic()
+        assert sc.drain(timeout_ms=5000) == []
+        assert time.monotonic() - start < 1.0
+        assert sc.is_closed()
 
     def test_greedy_group_delivery(self, client_factory):
         # two consumers, one group: first poller takes everything
@@ -212,6 +294,120 @@ class TestClose:
         assert elapsed < 5.0
 
 
+    def test_parked_polls_lose_no_wakeup_under_contention(self, client_factory):
+        # more consuming threads than cores share one group and long-poll
+        # while a producer publishes; every element arrives exactly once
+        # and every drain ends once the stream is closed and drained
+        import sys
+        producer = client_factory()
+        sp = create_stream(producer, StreamKind.OBJECT, alias="stress")
+        clients = [client_factory() for _ in range(4)]
+        views = [create_stream(c, StreamKind.OBJECT, alias="stress")
+                 for c in clients for _ in range(2)]
+        got, errors = [], []
+
+        def consume(view):
+            try:
+                got.extend(e.payload for e in view.drain(timeout_ms=20_000))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=consume, args=(v,)) for v in views]
+            for t in threads:
+                t.start()
+            for i in range(0, 400, 4):
+                sp.publish([b"%d" % j for j in range(i, i + 4)])
+            sp.close()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        assert sorted(got, key=int) == [b"%d" % j for j in range(400)]
+
+    def test_parked_poll_of_a_departed_client_takes_nothing(self, client_factory):
+        producer = client_factory()
+        leaving = client_factory()
+        staying = client_factory()
+        sp = create_stream(producer, StreamKind.OBJECT, alias="departed")
+        gone_view = create_stream(leaving, StreamKind.OBJECT, alias="departed")
+        stay_view = create_stream(staying, StreamKind.OBJECT, alias="departed")
+        poller = threading.Thread(
+            target=lambda: pytest.raises(ServerUnreachable, gone_view.poll, timeout_ms=10_000))
+        poller.start()
+        time.sleep(0.1)  # the poll is parked
+        leaving.close()
+        poller.join(5)
+        deadline = time.monotonic() + 2
+        while (any(t.name.startswith("ds-poll-") for t in threading.enumerate())
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        sp.publish(b"kept")
+        assert [e.payload for e in stay_view.poll(timeout_ms=2000)] == [b"kept"]
+        assert not poller.is_alive()
+
+    def test_at_least_once_drain_waits_for_crashed_peer(self):
+        server = StreamServer(host="127.0.0.1", port=0, lease_ms=300)
+        server.start()
+        clients = [DistroStreamClient(host=server.host, port=server.port, group="alo")
+                   for _ in range(3)]
+        try:
+            producer, peer, consumer = clients
+            sp = create_stream(producer, StreamKind.OBJECT, alias="alo")
+            peer_view = create_stream(peer, StreamKind.OBJECT, alias="alo",
+                                      consumer_mode=ConsumerMode.AT_LEAST_ONCE)
+            sc = create_stream(consumer, StreamKind.OBJECT, alias="alo",
+                               consumer_mode=ConsumerMode.AT_LEAST_ONCE)
+            sp.publish([b"1", b"2", b"3"])
+            assert len(peer_view.poll()) == 3
+            peer.close()  # crashes holding the lease on all three
+            sp.close()
+            start = time.monotonic()
+            elements = sc.drain(timeout_ms=10_000)
+            elapsed = time.monotonic() - start
+            assert sorted(e.payload for e in elements) == [b"1", b"2", b"3"]
+            # returned once the lease ran out, with no settle time after it
+            assert 0.2 <= elapsed < 0.3 + 0.5
+        finally:
+            for cli in clients:
+                cli.close()
+            server.stop()
+
+    def test_stop_releases_parked_polls(self):
+        def parked():
+            return [t for t in threading.enumerate() if t.name.startswith("ds-poll-")]
+
+        server = StreamServer(host="127.0.0.1", port=0)
+        server.start()
+        cli = DistroStreamClient(host=server.host, port=server.port)
+        s = create_stream(cli, StreamKind.OBJECT, register_producer=True)
+        outcome = []
+
+        def poll():
+            try:
+                outcome.append(s.poll(timeout_ms=20_000))
+            except ServerUnreachable as exc:
+                outcome.append(exc)
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        deadline = time.monotonic() + 2
+        while not parked() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert parked()
+        server.stop()
+        deadline = time.monotonic() + 1
+        while parked() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not parked()
+        poller.join(2)
+        assert outcome and not poller.is_alive()
+        cli.close()
+
+
 class TestMetadata:
     def test_metadata_roundtrip(self, client):
         s = create_stream(client, StreamKind.OBJECT, alias="myStream")
@@ -245,8 +441,7 @@ class TestMetadata:
 
 class TestFileStreams:
     def test_file_paths_flow_through(self, client, tmp_path):
-        s = create_stream(client, StreamKind.FILE, base_dir=str(tmp_path),
-                          tick_ms=10)
+        s = create_stream(client, StreamKind.FILE, base_dir=str(tmp_path))
         tmp = tmp_path / ".f1"
         tmp.write_bytes(b"body")
         os.rename(tmp, tmp_path / "f1")
@@ -254,8 +449,7 @@ class TestFileStreams:
         assert [e.text() for e in got] == [str(tmp_path / "f1")]
 
     def test_consumer_gets_paths_not_contents(self, client, tmp_path):
-        s = create_stream(client, StreamKind.FILE, base_dir=str(tmp_path),
-                          tick_ms=10)
+        s = create_stream(client, StreamKind.FILE, base_dir=str(tmp_path))
         (tmp_path / "data.bin").write_bytes(b"\x00" * 128)
         got = s.poll(timeout_ms=2000)
         assert len(got) == 1
@@ -266,12 +460,38 @@ class TestFileStreams:
         producer = client_factory()
         consumer = client_factory()
         sp = create_stream(producer, StreamKind.FILE, alias="fclose",
-                           base_dir=str(tmp_path), register_producer=True,
-                           tick_ms=10)
+                           base_dir=str(tmp_path), register_producer=True)
         sc = create_stream(consumer, StreamKind.FILE, alias="fclose",
-                           base_dir=str(tmp_path), tick_ms=10)
+                           base_dir=str(tmp_path))
         (tmp_path / "one").write_bytes(b"1")
         sp.close()
         elements = sc.drain(timeout_ms=5000)
         assert [e.text() for e in elements] == [str(tmp_path / "one")]
         assert sc.is_closed()
+
+    def test_file_renamed_in_before_close_precedes_drained(self, tmp_path):
+        # with no background scan due, only the scan that follows the close
+        # can find the file; drain must not report drained without it
+        server = StreamServer(host="127.0.0.1", port=0, tick_ms=60_000)
+        server.start()
+        clients = [DistroStreamClient(host=server.host, port=server.port, group="f")
+                   for _ in range(2)]
+        try:
+            sp = create_stream(clients[0], StreamKind.FILE, alias="late-file",
+                               base_dir=str(tmp_path), register_producer=True)
+            sc = create_stream(clients[1], StreamKind.FILE, alias="late-file",
+                               base_dir=str(tmp_path))
+            got = []
+            drainer = threading.Thread(target=lambda: got.extend(sc.drain(timeout_ms=5000)))
+            drainer.start()
+            time.sleep(0.1)  # the drain's poll is parked
+            tmp = tmp_path / ".last"
+            tmp.write_bytes(b"1")
+            os.rename(tmp, tmp_path / "last")
+            sp.close()
+            drainer.join(5)
+            assert [e.text() for e in got] == [str(tmp_path / "last")]
+        finally:
+            for cli in clients:
+                cli.close()
+            server.stop()
