@@ -148,11 +148,6 @@ class Broker:
 
     # -- consumer side --
 
-    def join_group(self, topic: str, group_id: str) -> None:
-        t = self._topic(topic)
-        with t.lock:
-            t.join(group_id)
-
     def _take(self, t: _Topic, group: _Group, limit: int | None) -> dict[int, list[LogRecord]]:
         """Next records for the group: redeliveries first, then fresh ones."""
         taken: dict[int, list[LogRecord]] = {}

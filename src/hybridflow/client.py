@@ -1,9 +1,10 @@
-"""Per-process client: framed connection, metadata cache, request plumbing.
+"""Per-process client: framed connection and request plumbing.
 
 Every application process owns one client. Requests from any thread are
 multiplexed over the single server connection by correlation id; a background
-reader thread completes pending requests and applies INVALIDATE pushes to the
-metadata cache.
+reader thread matches each reply to its pending request. The server sends
+nothing but replies, so stream metadata (the closed flag among it) is always
+asked of the server, never cached.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import socket
 import threading
 import uuid
 from dataclasses import dataclass
-from typing import Callable
 
 from . import errors as errmod
 from . import protocol
@@ -30,38 +30,11 @@ DEFAULT_TIMEOUT_S = 30.0
 
 
 @dataclass
-class CacheEntry:
+class StreamEntry:
     alias: str | None
     kind: StreamKind
     closed: bool
     backend: str
-
-
-class ClientMetadataCache:
-    """Cache of server metadata; a closed flag, once true, never reverts."""
-
-    def __init__(self) -> None:
-        self._entries: dict[str, CacheEntry] = {}
-        self._lock = threading.Lock()
-        self.generation = 0
-
-    def put(self, stream_id: str, entry: CacheEntry) -> None:
-        with self._lock:
-            old = self._entries.get(stream_id)
-            if old is not None and old.closed:
-                entry.closed = True
-            self._entries[stream_id] = entry
-
-    def get(self, stream_id: str) -> CacheEntry | None:
-        with self._lock:
-            return self._entries.get(stream_id)
-
-    def invalidate(self, stream_id: str) -> None:
-        with self._lock:
-            self.generation += 1
-            entry = self._entries.get(stream_id)
-            if entry is not None and not entry.closed:
-                del self._entries[stream_id]
 
 
 class _Pending:
@@ -82,8 +55,6 @@ class DistroStreamClient:
         self.port = port if port is not None else int(os.environ.get("DS_SERVER_PORT", "49049"))
         self.process_id = f"p-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self.group = group or os.environ.get("DS_APP_GROUP") or f"app-{self.process_id}"
-        self.cache = ClientMetadataCache()
-        self.on_invalidate: list[Callable[[str], None]] = []
         self._timeout = request_timeout_s
         self._corr = itertools.count(1)
         self._tokens = itertools.count(1)
@@ -111,15 +82,6 @@ class DistroStreamClient:
                 frame = None
             if frame is None:
                 break
-            if frame.verb == "INVALIDATE":
-                stream_id = frame.fields[0] if frame.fields else ""
-                self.cache.invalidate(stream_id)
-                for hook in list(self.on_invalidate):
-                    try:
-                        hook(stream_id)
-                    except Exception:  # noqa: BLE001 - hooks must not kill the reader
-                        pass
-                continue
             with self._plock:
                 pending = self._pending.pop(frame.corr_id, None)
             if pending is not None:
@@ -186,28 +148,19 @@ class DistroStreamClient:
             raise RegistrationError(str(exc)) from exc
         return frame.fields[0], frame.fields[1] == "1"
 
-    def lookup(self, stream_id: str) -> CacheEntry:
+    def lookup(self, stream_id: str) -> StreamEntry:
         frame = self.request("LOOKUP", [stream_id])
-        entry = CacheEntry(alias=frame.fields[1] or None,
+        return StreamEntry(alias=frame.fields[1] or None,
                            kind=StreamKind(frame.fields[2]),
                            closed=frame.fields[3] == "1",
                            backend=frame.fields[4])
-        self.cache.put(stream_id, entry)
-        return entry
 
     def is_closed(self, stream_id: str) -> bool:
-        cached = self.cache.get(stream_id)
-        if cached is not None:
-            return cached.closed
-        entry = self.lookup(stream_id)
-        return entry.closed
+        return self.lookup(stream_id).closed
 
     def add_producer(self, stream_id: str, token: str) -> bool:
         frame = self.request("ADDPROD", [stream_id, token])
         return frame.fields[0] == "1"
-
-    def add_consumer(self, stream_id: str, token: str, group: str | None = None) -> None:
-        self.request("ADDCONS", [stream_id, token, group or self.group])
 
     def close_producer(self, stream_id: str, token: str) -> bool:
         frame = self.request("CLOSE", [stream_id, token])
@@ -231,7 +184,4 @@ class DistroStreamClient:
             stream_id, token, group or self.group, mode.value,
             str(max_records) if max_records is not None else "", str(wait_ms),
         ], wait_s=wait_ms / 1000.0)
-        drained = frame.fields[1] == "1"
-        if drained:  # the INVALIDATE push may still be in flight
-            self.cache.invalidate(stream_id)
-        return protocol.unpack_elements(frame.payload), drained
+        return protocol.unpack_elements(frame.payload), frame.fields[1] == "1"

@@ -3,8 +3,9 @@
 A frame is one header line -- verb, tab-separated fields, and a trailing
 correlation id, newline-terminated -- followed by a 4-byte big-endian payload
 length and the payload bytes (length 0 when there is none). Every request gets
-exactly one response frame carrying the same correlation id; server pushes use
-the reserved correlation id "0".
+exactly one response frame carrying the same correlation id, and the stream
+server sends no other frames. The reserved correlation id "0" marks the worker
+link's one-way frames (TASK, TRESULT, WSTOP), which get no response.
 """
 from __future__ import annotations
 
@@ -20,14 +21,14 @@ _LEN = struct.Struct(">I")
 MAX_HEADER = 64 * 1024
 MAX_PAYLOAD = 1 << 31
 
-PUSH_CORR = "0"
+ONE_WAY_CORR = "0"
 
 
 @dataclass
 class Frame:
     verb: str
     fields: list[str] = field(default_factory=list)
-    corr_id: str = PUSH_CORR
+    corr_id: str = ONE_WAY_CORR
     payload: bytes = b""
 
     def encode(self) -> bytes:

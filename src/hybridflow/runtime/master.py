@@ -166,8 +166,6 @@ class Runtime:
             self._resources[worker_id] = ResourceState(
                 worker_id=worker_id, total_cores=cores, free_cores=cores)
             self._executors[worker_id] = _LocalWorker(worker_id, self)
-        if stream_client is not None:
-            stream_client.on_invalidate.append(lambda _sid: self._wake())
         self._scheduler = threading.Thread(target=self._loop, name="hf-scheduler",
                                            daemon=True)
         self._scheduler.start()
@@ -259,8 +257,7 @@ class Runtime:
     def _loop(self) -> None:
         while not self._stopped:
             with self._cond:
-                while not self._dirty and not self._stopped:
-                    self._cond.wait(0.2)
+                self._cond.wait_for(lambda: self._dirty or self._stopped)
                 self._dirty = False
             if self._stopped:
                 return

@@ -1,12 +1,11 @@
-"""DistroStream server: stream registry, permission checks, close propagation.
+"""DistroStream server: stream registry, permission checks, close handling.
 
 One server process coordinates every application sharing the stream set. It
 hosts the log broker and the directory monitors in-process and talks to the
-per-process clients over the framed socket protocol. When the last producer
-of a stream closes, the server flags the stream closed and pushes an
-INVALIDATE frame to every connected client before answering the closing
-request, so a client can never observe a stale open flag after its close
-round trip completes.
+per-process clients over the framed socket protocol. Every frame it sends is
+the reply to a request. When the last producer of a stream closes, the server
+flags the stream closed in its registry before answering the closing request,
+so any LOOKUP sent after that close round trip completes sees the flag.
 
 POLLREQ is a long poll: one that finds nothing waits on its own thread, never
 on the connection's reader. Its reply carries a drained flag: the stream was
@@ -46,7 +45,6 @@ class StreamRegistryEntry:
     base_dir: str | None = None
     open_producers: set[str] = field(default_factory=set)
     ever_producers: set[str] = field(default_factory=set)
-    consumers: set[tuple[str, str]] = field(default_factory=set)
     closed: bool = False
     closes_observed: int = 0
 
@@ -102,11 +100,6 @@ class StreamRegistry:
             entry.open_producers.add(token)
             entry.ever_producers.add(token)
             return True
-
-    def add_consumer(self, stream_id: str, token: str, group: str) -> None:
-        with self._lock:
-            entry = self.get(stream_id)
-            entry.consumers.add((token, group))
 
     def close_producer(self, stream_id: str, token: str) -> bool:
         """Remove a producer grant; returns True when the stream just closed.
@@ -164,10 +157,10 @@ class StreamServer:
         self.broker = Broker(lease_ms=lease_ms or DEFAULT_LEASE_MS)
         self.monitor = DirectoryMonitor(self._monitor_sink, tick_ms=tick_ms)
         self._sock: socket.socket | None = None
-        self._conns: set[protocol.Connection] = set()
         self._conn_lock = threading.Lock()
-        # producer grants made through each connection, for expiry on drop
-        self._conn_grants: dict[protocol.Connection, set[tuple[str, str]]] = {}
+        # open connections, each with the producer grants made through it,
+        # which expire when it drops
+        self._conns: dict[protocol.Connection, set[tuple[str, str]]] = {}
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
 
@@ -239,8 +232,7 @@ class StreamServer:
             raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = protocol.Connection(raw)
             with self._conn_lock:
-                self._conns.add(conn)
-                self._conn_grants[conn] = set()
+                self._conns[conn] = set()
             threading.Thread(target=self._serve_conn, args=(conn,),
                              name=f"ds-conn-{conn.peer}", daemon=True).start()
 
@@ -286,29 +278,16 @@ class StreamServer:
 
     def _drop_conn(self, conn: protocol.Connection) -> None:
         with self._conn_lock:
-            self._conns.discard(conn)
-            grants = self._conn_grants.pop(conn, set())
+            grants = self._conns.pop(conn, set())
         conn.close()
         self.broker.wake()  # its parked polls end without taking anything
         # a producer that vanishes without closing is treated as closed
         for stream_id, token in grants:
             try:
                 if self.registry.close_producer(stream_id, token):
-                    self._closed(stream_id)
+                    self.broker.wake(stream_id)
             except UnknownStream:
                 pass
-
-    def _closed(self, stream_id: str) -> None:
-        """Announce a close: invalidate client caches, then wake parked polls."""
-        with self._conn_lock:
-            targets = list(self._conns)
-        frame = protocol.Frame(verb="INVALIDATE", fields=[stream_id])
-        for target in targets:
-            try:
-                target.send(frame)
-            except OSError:
-                pass
-        self.broker.wake(stream_id)
 
     def _log(self, frame: protocol.Frame, outcome: str) -> None:
         stream_id = frame.fields[0] if frame.fields else "-"
@@ -369,18 +348,10 @@ class StreamServer:
         granted = self.registry.add_producer(stream_id, token)
         if granted:
             with self._conn_lock:
-                if conn in self._conn_grants:
-                    self._conn_grants[conn].add((stream_id, token))
+                if conn in self._conns:
+                    self._conns[conn].add((stream_id, token))
         self._log(frame, "granted" if granted else "denied")
         return protocol.ok(frame.corr_id, ["1" if granted else "0"])
-
-    def _op_addcons(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
-        stream_id = self._field(frame, 0, "id")
-        token = self._field(frame, 1, "token")
-        group = self._field(frame, 2, "group")
-        self.registry.add_consumer(stream_id, token, group)
-        self.broker.join_group(stream_id, group)
-        return protocol.ok(frame.corr_id, ["1"])
 
     def _op_close(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
         stream_id = self._field(frame, 0, "id")
@@ -391,11 +362,10 @@ class StreamServer:
         else:
             fully_closed = self.registry.close_producer(stream_id, token)
         if fully_closed:
-            # invalidations go out before the closing client gets its answer
-            self._closed(stream_id)
+            self.broker.wake(stream_id)  # parked polls answer with the drained flag
         with self._conn_lock:
-            if conn in self._conn_grants:
-                self._conn_grants[conn].discard((stream_id, token))
+            if conn in self._conns:
+                self._conns[conn].discard((stream_id, token))
         self._log(frame, "closed" if fully_closed else "open")
         return protocol.ok(frame.corr_id, ["1" if fully_closed else "0"])
 
@@ -411,8 +381,8 @@ class StreamServer:
             if not self.registry.add_producer(stream_id, token):
                 raise ClosedStreamError(stream_id)
             with self._conn_lock:
-                if conn in self._conn_grants:
-                    self._conn_grants[conn].add((stream_id, token))
+                if conn in self._conns:
+                    self._conns[conn].add((stream_id, token))
         payloads = unpack_blocks(frame.payload)
         for value in payloads:
             if not value:
@@ -431,7 +401,6 @@ class StreamServer:
         max_records = int(max_raw) if max_raw else None
         deadline = time.monotonic() + int(wait_raw or 0) / 1000.0
         entry = self.registry.get(stream_id)
-        self.registry.add_consumer(stream_id, token, group)
 
         def attempt() -> protocol.Frame | None:
             if conn not in self._conns:  # never take records for a consumer that left

@@ -40,7 +40,6 @@ class BenchConfig:
     compute_time_ms: float = 400.0
     exchange_time_ms: float = 100.0
     init_time_ms: float = 500.0
-    state_bytes: int = 24
     # external-stream / nested experiments
     filters: int = 4
     payloads: int = 100
@@ -52,14 +51,10 @@ class BenchConfig:
     lifecycle_tasks: int = 100
     # deployment and measurement
     workers: str = "8x1"
-    mode: str = "BOTH"             # PURE_TASK, HYBRID, or BOTH
     reps: int = 5
     seed: int = 1
     tick_ms: int = 25
     lease_ms: int = 30_000
-    # empty server_host means the bench spawns its own in-process server
-    server_host: str = ""
-    server_port: int = 49049
 
     def __post_init__(self):
         for name in ("num_sims", "num_files", "readers", "writers",
@@ -72,8 +67,6 @@ class BenchConfig:
                      "writer_gap_ms", "reader_ramp_ms", "feeder_gap_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.mode not in ("PURE_TASK", "HYBRID", "BOTH"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.stream_kind not in ("FILE", "OBJECT"):
             raise ValueError(f"unknown stream_kind {self.stream_kind!r}")
 
@@ -93,7 +86,7 @@ _FLOAT_FIELDS = {
     "exchange_time_ms", "init_time_ms", "writer_gap_ms", "reader_ramp_ms",
     "feeder_gap_ms",
 }
-_STR_FIELDS = {"workers", "mode", "stream_kind", "server_host"}
+_STR_FIELDS = {"workers", "stream_kind"}
 
 
 def apply_setting(cfg_kwargs: dict, key: str, value: str) -> None:

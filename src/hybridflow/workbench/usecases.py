@@ -33,20 +33,14 @@ TD = "hybridflow.workbench.taskdefs:"
 class Stack:
     """Server + client + runtime bundle for one benchmark run.
 
-    With server_host set in the config the bench talks to that external
-    server; otherwise it spawns its own on an ephemeral port.
+    Each bench spawns its own server on an ephemeral port.
     """
 
     def __init__(self, cfg: BenchConfig, slots: list[int] | None = None) -> None:
-        self.server: StreamServer | None = None
-        if cfg.server_host:
-            host, port = cfg.server_host, cfg.server_port
-        else:
-            self.server = StreamServer(host="127.0.0.1", port=0,
-                                       tick_ms=cfg.tick_ms, lease_ms=cfg.lease_ms)
-            self.server.start()
-            host, port = self.server.host, self.server.port
-        self.client = DistroStreamClient(host=host, port=port,
+        self.server = StreamServer(host="127.0.0.1", port=0,
+                                   tick_ms=cfg.tick_ms, lease_ms=cfg.lease_ms)
+        self.server.start()
+        self.client = DistroStreamClient(host=self.server.host, port=self.server.port,
                                          group=f"bench-{uuid.uuid4().hex[:8]}")
         self.runtime = Runtime(local_slots=slots or cfg.worker_cores,
                                stream_client=self.client)
@@ -54,8 +48,7 @@ class Stack:
     def close(self) -> None:
         self.runtime.shutdown()
         self.client.close()
-        if self.server is not None:
-            self.server.stop()
+        self.server.stop()
 
     def __enter__(self) -> "Stack":
         return self

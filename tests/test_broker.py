@@ -56,7 +56,7 @@ class TestTopics:
     def test_delete_drops_group_state(self):
         b = make_broker()
         b.create_topic("t", 1)
-        b.join_group("t", "g")
+        b.poll("t", "g", "c1", EO)
         b.delete_topic("t")
         b.create_topic("t", 1)
         with pytest.raises(UnknownGroup):
@@ -106,7 +106,6 @@ class TestFetchCommit:
     def test_empty_log(self):
         b = make_broker()
         b.create_topic("t", 1)
-        b.join_group("t", "g")
         for mode in (EO, ALO, AMO):
             assert b.poll("t", "g", "c", mode) == []
 

@@ -162,13 +162,27 @@ class TestServerRobustness:
         assert missing.verb == "ERR"
         # unknown verbs, among them raw broker verbs the server does not serve
         for verb in ("NOSUCHVERB", "NEWTOPIC", "APPEND", "FETCH", "COMMIT",
-                     "DELTOPIC", "BPOLL", "BJOIN", "STATUS"):
+                     "DELTOPIC", "BPOLL", "BJOIN", "STATUS", "ADDCONS"):
             bad = raw.call(verb, ["x", "g", "c", "", "EXACTLY_ONCE"])
             assert bad.verb == "ERR", verb
             assert bad.fields[0] == "ProtocolError", verb
             # connection still serves valid requests
             good = raw.call("REGISTER", ["OBJECT", "", "", "1", ""])
             assert good.verb == "OK", verb
+        raw.close()
+
+    def test_server_sends_only_replies(self, server, client):
+        # a close elsewhere pushes nothing: the next frame answers LOOKUP
+        s = create_stream(client, StreamKind.OBJECT, alias="replies-only")
+        raw = _RawClient(server.host, server.port)
+        assert raw.call("LOOKUP", [s.id]).fields[3] == "0"
+        s.publish(b"x")
+        s.close()
+        raw.conn.send(protocol.Frame(verb="LOOKUP", fields=[s.id], corr_id="after-close"))
+        first = raw.conn.recv()
+        assert first.corr_id == "after-close", first.verb
+        assert first.verb == "OK"
+        assert first.fields[3] == "1"
         raw.close()
 
     def test_error_fields_carry_class(self, server):

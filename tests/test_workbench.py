@@ -124,8 +124,6 @@ class TestConfig:
             BenchConfig(num_files=0)
         with pytest.raises(ValueError):
             BenchConfig(generation_time_ms=-1)
-        with pytest.raises(ValueError):
-            BenchConfig(mode="SIDEWAYS")
 
 
 class TestCsvLog:
