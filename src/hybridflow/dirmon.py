@@ -8,20 +8,39 @@ the same path on every node (shared filesystem contract).
 from __future__ import annotations
 
 import os
+import stat
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InvalidPath
 
 # how long a file renamed into a monitored directory can go unnoticed
-DEFAULT_TICK_MS = 50
+DEFAULT_TICK_MS = 5
+# a directory mtime this close to a listing's start may hide a later change
+# on a filesystem with coarse timestamps ("racy git"), so it does not gate
+RACY_NS = 2_000_000_000
 
 
 @dataclass
 class MonitorState:
     base_dir: str
     seen: set[str] = field(default_factory=set)
+    # directory mtime read before the last successful listing, and the wall
+    # clock when that listing began; None until a listing succeeds
+    listed_mtime_ns: int | None = None
+    listed_at_ns: int = 0
+
+    def unchanged(self) -> bool:
+        """True when a listing now would find nothing the last one missed."""
+        if self.listed_mtime_ns is None:
+            return False
+        try:
+            mtime = os.stat(self.base_dir).st_mtime_ns
+        except OSError:
+            return False
+        return mtime == self.listed_mtime_ns and self.listed_at_ns - mtime > RACY_NS
 
 
 class DirectoryMonitor:
@@ -29,7 +48,9 @@ class DirectoryMonitor:
 
     The sink is called as sink(stream_id, payload) with the absolute path
     encoded as UTF-8; the server wires it to the stream's delivery queue.
-    Registering a directory scans it at once, not at the next tick.
+    Registering a directory scans it at once, not at the next tick. A tick
+    costs one `stat` per directory whose mtime is unchanged since a listing
+    that began more than RACY_NS after it; other directories are listed.
     """
 
     def __init__(self, sink: Callable[[str, bytes], None],
@@ -64,30 +85,33 @@ class DirectoryMonitor:
         queue before returning. The sink runs under the monitor lock, so a
         concurrent scan that finds nothing new returns only after every file
         already marked seen has reached the sink (lock order: monitor lock,
-        then the broker's topic lock). I/O failures skip the tick (retried
-        later).
+        then the broker's topic lock). An I/O failure records nothing and
+        disarms the mtime gate, so the next tick lists the directory again.
         """
         with self._lock:
             state = self._states.get(stream_id)
             if state is None:
                 return []
+            base = state.base_dir
             try:
+                started = time.time_ns()
+                mtime = os.stat(base).st_mtime_ns
                 entries = []
-                with os.scandir(state.base_dir) as it:
-                    for entry in it:
-                        name = entry.name
-                        if name.startswith(".") or name in state.seen:
-                            continue
-                        if not entry.is_file():
-                            continue
-                        entries.append((entry.stat().st_mtime_ns, name))
+                for name in set(os.listdir(base)) - state.seen:
+                    if name.startswith("."):
+                        continue
+                    st = os.stat(os.path.join(base, name))
+                    if stat.S_ISREG(st.st_mode):
+                        entries.append((st.st_mtime_ns, name))
             except OSError:
+                state.listed_mtime_ns = None
                 return []
+            state.listed_mtime_ns, state.listed_at_ns = mtime, started
             entries.sort()
             new_paths = []
             for _, name in entries:
                 state.seen.add(name)
-                path = os.path.join(state.base_dir, name)
+                path = os.path.join(base, name)
                 self._sink(stream_id, path.encode("utf-8"))
                 new_paths.append(path)
         return new_paths
@@ -111,8 +135,13 @@ class DirectoryMonitor:
     def _run(self) -> None:
         while not self._stop.is_set():
             self._wake.clear()  # before the snapshot, so no registration is missed
+            started = time.monotonic()
             with self._lock:
-                stream_ids = list(self._states)
-            for stream_id in stream_ids:
+                due = [sid for sid, state in self._states.items() if not state.unchanged()]
+                idle = not self._states
+            for stream_id in due:
                 self.scan_once(stream_id)
-            self._wake.wait(self._tick_ms / 1000.0 if stream_ids else None)
+            # a pass longer than the tick sleeps as long as it ran, so
+            # listing a huge directory takes at most half a core
+            pause = max(self._tick_ms / 1000.0, time.monotonic() - started)
+            self._wake.wait(None if idle else pause)

@@ -9,7 +9,10 @@ so any LOOKUP sent after that close round trip completes sees the flag.
 
 POLLREQ is a long poll: one that finds nothing waits on its own thread, never
 on the connection's reader. Its reply carries a drained flag: the stream was
-closed before the poll's scan and the group has nothing left to finish.
+closed before the poll looked at the queue and the group has nothing left to
+finish. A poll never lists a FILE stream's directory; the monitor's tick does,
+and so does every close of a producer (CLOSE, revoke or a dropped connection)
+before it can flag the stream closed.
 """
 from __future__ import annotations
 
@@ -265,7 +268,7 @@ class StreamServer:
             reply = handler(*args)
         except HybridflowError as exc:
             reply = protocol.err(frame.corr_id, type(exc).__name__, str(exc))
-            self._log(frame, f"error:{type(exc).__name__}")
+            self._log(frame, "error:%s", type(exc).__name__)
         except Exception as exc:  # noqa: BLE001 - protocol robustness
             reply = protocol.err(frame.corr_id, "InternalError", str(exc))
             self._log(frame, "error:internal")
@@ -284,16 +287,26 @@ class StreamServer:
         # a producer that vanishes without closing is treated as closed
         for stream_id, token in grants:
             try:
+                self._scan_before_close(stream_id)
                 if self.registry.close_producer(stream_id, token):
                     self.broker.wake(stream_id)
             except UnknownStream:
                 pass
 
-    def _log(self, frame: protocol.Frame, outcome: str) -> None:
+    def _scan_before_close(self, stream_id: str) -> None:
+        """List a FILE stream's directory, so that every file renamed in
+        before a close is queued before the closed flag can be seen."""
+        if self.registry.get(stream_id).kind is StreamKind.FILE:
+            self.monitor.scan_once(stream_id)
+
+    def _log(self, frame: protocol.Frame, outcome: str, *args) -> None:
+        """Per-request record at DEBUG; `outcome` is a %-format over args."""
+        if not log.isEnabledFor(logging.DEBUG):
+            return
         stream_id = frame.fields[0] if frame.fields else "-"
         process = frame.fields[1] if len(frame.fields) > 1 else "-"
-        log.info("%d | %s | %s | %s | %s",
-                 int(time.time() * 1000), frame.verb, stream_id, process, outcome)
+        log.debug("%d | %s | %s | %s | " + outcome,
+                  int(time.time() * 1000), frame.verb, stream_id, process, *args)
 
     # -- request dispatch --
 
@@ -332,7 +345,7 @@ class StreamServer:
             self.broker.create_topic(entry.id, partition_count=partitions)
             if kind is StreamKind.FILE:
                 self.monitor.register_dir(entry.id, base_dir)
-        self._log(frame, f"id={entry.id} created={int(created)}")
+        self._log(frame, "id=%s created=%d", entry.id, created)
         return protocol.ok(frame.corr_id, [entry.id, "1" if created else "0"])
 
     def _op_lookup(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
@@ -357,6 +370,7 @@ class StreamServer:
         stream_id = self._field(frame, 0, "id")
         token = self._field(frame, 1, "token")
         revoke = len(frame.fields) > 2 and frame.fields[2] == "revoke"
+        self._scan_before_close(stream_id)
         if revoke:
             fully_closed = self.registry.revoke_producer(stream_id, token)
         else:
@@ -388,7 +402,7 @@ class StreamServer:
             if not value:
                 raise BackendError("empty payloads are not allowed")
             self.broker.append(stream_id, value)
-        self._log(frame, f"published={len(payloads)}")
+        self._log(frame, "published=%d", len(payloads))
         return protocol.ok(frame.corr_id, [str(len(payloads))])
 
     def _op_pollreq(self, conn: protocol.Connection,
@@ -406,10 +420,6 @@ class StreamServer:
             if conn not in self._conns:  # never take records for a consumer that left
                 return protocol.err(frame.corr_id, "ServerUnreachable", "connection dropped")
             closed = entry.closed
-            if entry.kind is StreamKind.FILE:
-                # scan synchronously so files written before a producer's close
-                # are in the queue by the time the closed flag is observable
-                self.monitor.scan_once(stream_id)
             records = self.broker.poll(stream_id, group, token, mode, max_records)
             drained = closed and self.broker.pending(stream_id, group) == 0
             if not (records or drained or self._stop.is_set()

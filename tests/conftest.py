@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from hybridflow.client import DistroStreamClient
@@ -31,3 +33,20 @@ def client_factory(server):
     yield make
     for cli in made:
         cli.close()
+
+
+@pytest.fixture
+def listings(monkeypatch):
+    """Directory listings made through hybridflow.dirmon, counted by path."""
+    from hybridflow import dirmon
+    counts = collections.Counter()
+
+    def counting(real):
+        def wrapper(path="."):
+            counts[path] += 1
+            return real(path)
+        return wrapper
+
+    for name in ("listdir", "scandir"):
+        monkeypatch.setattr(dirmon.os, name, counting(getattr(dirmon.os, name)))
+    return counts

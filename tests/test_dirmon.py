@@ -223,3 +223,96 @@ def test_concurrent_scan_returns_after_sink(tmp_path):
     second.join(5)
     assert not first.is_alive() and not second.is_alive()
     assert seen_by_second == [([], [f1])]
+
+
+def age_dir(directory, seconds):
+    """Set a directory's mtime `seconds` into the past."""
+    mtime = time.time_ns() - int(seconds * 1e9)
+    os.utime(directory, ns=(mtime, mtime))
+
+
+def wait_for(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+def test_idle_dir_outside_racy_window_is_not_listed(tmp_path, sink, listings):
+    emitted, cb = sink
+    write_file(str(tmp_path), "f1")
+    age_dir(str(tmp_path), 10)
+    mon = DirectoryMonitor(cb, tick_ms=5)
+    mon.register_dir("s1", str(tmp_path))
+    mon.start()
+    try:
+        assert wait_for(lambda: emitted)
+        listings.clear()
+        time.sleep(0.2)  # about 40 ticks
+        assert listings[str(tmp_path)] == 0
+        f2 = write_file(str(tmp_path), "f2")  # a change reopens the gate
+        assert wait_for(lambda: len(emitted) == 2)
+    finally:
+        mon.stop()
+    assert emitted[-1] == ("s1", f2)
+
+
+def test_rename_hidden_by_mtime_granularity_inside_racy_window(tmp_path, sink):
+    emitted, cb = sink
+    mon = DirectoryMonitor(cb, tick_ms=5)
+    mon.register_dir("s1", str(tmp_path))
+    os.utime(tmp_path)  # now: the next scan begins inside the racy window
+    before = os.stat(tmp_path)
+    assert mon.scan_once("s1") == []
+    f1 = atomic_write(str(tmp_path), "f1")
+    os.utime(tmp_path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    mon.start()
+    try:
+        assert wait_for(lambda: emitted)
+    finally:
+        mon.stop()
+    assert emitted == [("s1", f1)]
+
+
+def test_failed_scan_leaves_the_gate_unarmed(tmp_path, sink, monkeypatch):
+    emitted, cb = sink
+    f1 = write_file(str(tmp_path), "f1")
+    age_dir(str(tmp_path), 10)
+    mon = DirectoryMonitor(cb, tick_ms=5)
+    mon.register_dir("s1", str(tmp_path))
+
+    def failing(path):
+        raise PermissionError(path)
+
+    with monkeypatch.context() as m:
+        m.setattr("hybridflow.dirmon.os.listdir", failing)
+        assert mon.scan_once("s1") == []
+    mon.start()
+    try:
+        assert wait_for(lambda: emitted)
+    finally:
+        mon.stop()
+    assert emitted == [("s1", f1)]
+
+
+def test_slow_pass_sleeps_as_long_as_it_ran(tmp_path, sink, monkeypatch):
+    # a listing that outlasts the tick must not run back to back
+    _, cb = sink
+    calls = []
+    listdir = os.listdir
+
+    def slow_listdir(path):
+        calls.append(path)
+        time.sleep(0.03)
+        return listdir(path)
+
+    monkeypatch.setattr("hybridflow.dirmon.os.listdir", slow_listdir)
+    os.utime(tmp_path)  # inside the racy window, so every tick lists
+    mon = DirectoryMonitor(cb, tick_ms=1)
+    mon.register_dir("s1", str(tmp_path))
+    mon.start()
+    time.sleep(0.6)
+    mon.stop()
+    # back to back would be about 20 listings; sleeping as long as each
+    # pass ran allows about 10
+    assert 3 <= len(calls) <= 13

@@ -494,3 +494,60 @@ class TestFileStreams:
             for cli in clients:
                 cli.close()
             server.stop()
+
+    def test_polls_never_list_the_directory(self, tmp_path, listings):
+        server = StreamServer(host="127.0.0.1", port=0, tick_ms=60_000)
+        server.start()
+        cli = DistroStreamClient(host=server.host, port=server.port)
+        try:
+            for i in range(2000):
+                (tmp_path / f"f{i:04d}").write_bytes(b"x")
+            s = create_stream(cli, StreamKind.FILE, base_dir=str(tmp_path))
+            got = []
+            while len(got) < 2000:  # emitted by the pass that registration starts
+                batch = s.poll(timeout_ms=2000)
+                assert batch
+                got.extend(batch)
+            listings.clear()
+            for _ in range(25):
+                assert s.poll() == []
+                assert s.poll(timeout_ms=20) == []  # parks, then wakes at its deadline
+            assert listings[str(tmp_path)] == 0
+        finally:
+            cli.close()
+            server.stop()
+
+    @pytest.mark.parametrize("how", ["dropped connection", "revoke"])
+    def test_file_renamed_in_before_a_producer_leaves_precedes_drained(self, tmp_path, how):
+        # on a 60 s tick only the scan made for the departing producer can
+        # find the file
+        server = StreamServer(host="127.0.0.1", port=0, tick_ms=60_000)
+        server.start()
+        clients = [DistroStreamClient(host=server.host, port=server.port, group="f")
+                   for _ in range(3)]
+        try:
+            first, last, consumer = (
+                create_stream(cli, StreamKind.FILE, alias="leaving", base_dir=str(tmp_path),
+                              register_producer=producer)
+                for cli, producer in zip(clients, [True, True, False]))
+            first.close()  # the stream stays open until the last producer leaves
+            got = []
+            drainer = threading.Thread(
+                target=lambda: got.extend(consumer.drain(timeout_ms=5000)))
+            drainer.start()
+            time.sleep(0.1)  # the drain's poll is parked
+            tmp = tmp_path / ".last"
+            tmp.write_bytes(b"1")
+            os.rename(tmp, tmp_path / "last")
+            if how == "revoke":
+                assert clients[1].revoke_producer(last.id, last._token)
+            else:
+                clients[1].close()
+            drainer.join(5)
+            assert not drainer.is_alive()
+            assert [e.text() for e in got] == [str(tmp_path / "last")]
+            assert consumer.is_closed()
+        finally:
+            for cli in clients:
+                cli.close()
+            server.stop()
