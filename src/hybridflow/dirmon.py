@@ -85,8 +85,11 @@ class DirectoryMonitor:
         queue before returning. The sink runs under the monitor lock, so a
         concurrent scan that finds nothing new returns only after every file
         already marked seen has reached the sink (lock order: monitor lock,
-        then the broker's topic lock). An I/O failure records nothing and
-        disarms the mtime gate, so the next tick lists the directory again.
+        then the broker's topic lock). A failure to stat or list the
+        directory records nothing and disarms the mtime gate, so the next
+        tick lists it again. A name that cannot be stat'ed (a dangling
+        symlink, a file removed after the listing) is skipped and leaves the
+        gate disarmed, so it is looked at again on the next tick.
         """
         with self._lock:
             state = self._states.get(stream_id)
@@ -96,17 +99,24 @@ class DirectoryMonitor:
             try:
                 started = time.time_ns()
                 mtime = os.stat(base).st_mtime_ns
-                entries = []
-                for name in set(os.listdir(base)) - state.seen:
-                    if name.startswith("."):
-                        continue
-                    st = os.stat(os.path.join(base, name))
-                    if stat.S_ISREG(st.st_mode):
-                        entries.append((st.st_mtime_ns, name))
+                names = set(os.listdir(base)) - state.seen
             except OSError:
                 state.listed_mtime_ns = None
                 return []
-            state.listed_mtime_ns, state.listed_at_ns = mtime, started
+            entries = []
+            skipped = False
+            for name in names:
+                if name.startswith("."):
+                    continue
+                try:
+                    st = os.stat(os.path.join(base, name))
+                except OSError:
+                    skipped = True
+                    continue
+                if stat.S_ISREG(st.st_mode):
+                    entries.append((st.st_mtime_ns, name))
+            state.listed_mtime_ns = None if skipped else mtime
+            state.listed_at_ns = started
             entries.sort()
             new_paths = []
             for _, name in entries:

@@ -295,6 +295,29 @@ def test_failed_scan_leaves_the_gate_unarmed(tmp_path, sink, monkeypatch):
     assert emitted == [("s1", f1)]
 
 
+def test_dangling_symlink_does_not_stop_the_stream(tmp_path, sink):
+    # a name that cannot be stat'ed is skipped, not the whole listing
+    emitted, cb = sink
+    watched = tmp_path / "watched"
+    watched.mkdir()
+    target = tmp_path / "target"
+    os.symlink(str(target), str(watched / "link"))
+    f1 = write_file(str(watched), "f1")
+    age_dir(str(watched), 10)
+    mon = DirectoryMonitor(cb, tick_ms=5)
+    mon.register_dir("s1", str(watched))
+    assert mon.scan_once("s1") == [f1]
+    # the skipped name keeps the gate open: its target appears elsewhere,
+    # leaving the watched directory's mtime as it was
+    write_file(str(tmp_path), "target")
+    mon.start()
+    try:
+        assert wait_for(lambda: len(emitted) == 2)
+    finally:
+        mon.stop()
+    assert emitted == [("s1", f1), ("s1", str(watched / "link"))]
+
+
 def test_slow_pass_sleeps_as_long_as_it_ran(tmp_path, sink, monkeypatch):
     # a listing that outlasts the tick must not run back to back
     _, cb = sink

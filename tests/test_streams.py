@@ -110,8 +110,13 @@ class TestPublishPoll:
         c2 = client_factory()
         s1 = create_stream(c1, StreamKind.OBJECT, alias="late")
         s2 = create_stream(c2, StreamKind.OBJECT, alias="late")
-        threading.Timer(0.05, lambda: s1.publish(b"v")).start()
+        publisher = threading.Timer(0.05, lambda: s1.publish(b"v"))
+        publisher.start()
         got = s2.poll(timeout_ms=2000)
+        # the poll can answer before the publish's own reply arrives; closing
+        # the producer's client under it would fail the publish
+        publisher.join(5)
+        assert not publisher.is_alive()
         assert [e.payload for e in got] == [b"v"]
 
     def test_long_poll_is_one_request(self, client_factory, monkeypatch):
@@ -127,11 +132,15 @@ class TestPublishPoll:
             return request(verb, *args, **kwargs)
 
         monkeypatch.setattr(consumer, "request", counting)
-        threading.Timer(0.3, lambda: sp.publish(b"v")).start()
+        publisher = threading.Timer(0.3, lambda: sp.publish(b"v"))
+        publisher.start()
         start = time.monotonic()
         got = sc.poll(timeout_ms=2000)
+        elapsed = time.monotonic() - start
+        publisher.join(5)
+        assert not publisher.is_alive()
         assert [e.payload for e in got] == [b"v"]
-        assert time.monotonic() - start >= 0.25
+        assert elapsed >= 0.25
         assert verbs == ["POLLREQ"]
 
     def test_parked_poll_leaves_the_connection_free(self, client):
@@ -285,10 +294,13 @@ class TestClose:
         sc = create_stream(consumer, StreamKind.OBJECT, alias="early")
         sp.publish(b"x")
         assert len(sc.poll()) == 1
-        threading.Timer(0.05, sp.close).start()
+        closer = threading.Timer(0.05, sp.close)
+        closer.start()
         start = time.monotonic()
         got = sc.poll(timeout_ms=10_000)
         elapsed = time.monotonic() - start
+        closer.join(5)
+        assert not closer.is_alive()
         assert got == []
         assert elapsed < 5.0
 
