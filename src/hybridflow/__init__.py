@@ -1,7 +1,7 @@
 """Hybridflow: task-based workflows with distributed data streams.
 
-The package bundles a stream library (object streams over an in-repo
-partitioned log broker, file streams over a directory monitor), the metadata
+The package bundles a stream library (object streams over an in-repo log
+broker, file streams over a directory monitor), the metadata
 server coordinating producers and consumers, a stream-aware task runtime, and
 the benchmark workbench driving both.
 """

@@ -1,11 +1,12 @@
-"""In-process partitioned append-only log with consumer groups and deletion.
+"""In-process append-only log with consumer groups and deletion.
 
-Topics are named after stream ids. Each partition numbers its records with a
-strictly sequential offset that survives deletion. A consumer group tracks a
-committed frontier per partition. Broker.poll is the only consume path:
+Topics are named after stream ids; each topic is one log whose records carry
+a strictly sequential offset that survives deletion. A consumer group tracks
+a committed frontier over the log. Broker.poll is the only consume path:
 EXACTLY_ONCE and AT_MOST_ONCE delete what they deliver, while AT_LEAST_ONCE
 leases each batch until the consumer's next poll commits it, so a member that
-dies in between has its batch redelivered.
+dies in between has its batch redelivered. A poll hands out redeliveries
+first, lowest offset first, then fresh records in publish order.
 Broker.poll never blocks; wait() blocks until the topic's version moves.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DuplicateTopic, UnknownGroup, UnknownTopic
 from .model import ConsumerMode, LogRecord, TopicStats
@@ -26,48 +27,32 @@ def _now_ms() -> int:
 
 
 @dataclass
-class _Partition:
-    index: int
-    next_offset: int = 0
-    records: dict[int, LogRecord] = field(default_factory=dict)
-
-    def append(self, value: bytes) -> int:
-        offset = self.next_offset
-        self.records[offset] = LogRecord(
-            value=value, offset=offset, partition=self.index,
-            publish_time=_now_ms(),
-        )
-        self.next_offset += 1
-        return offset
-
-
-@dataclass
 class _Lease:
-    offsets: dict[int, list[int]]  # partition -> offsets handed out
+    offsets: list[int]  # handed out, in delivery order
     deadline: float
 
 
 class _Group:
-    def __init__(self, partitions: int) -> None:
+    def __init__(self) -> None:
         # committed frontier: everything below is permanently done
-        self.committed: dict[int, int] = {p: 0 for p in range(partitions)}
+        self.committed = 0
         # individually acked offsets not yet contiguous with the frontier
-        self.done: dict[int, set[int]] = {p: set() for p in range(partitions)}
+        self.done: set[int] = set()
         # next fresh offset to hand out (>= committed frontier)
-        self.cursor: dict[int, int] = {p: 0 for p in range(partitions)}
-        # min-heaps of offsets returned by expired leases, awaiting redelivery
-        self.redeliver: dict[int, list[int]] = {p: [] for p in range(partitions)}
+        self.cursor = 0
+        # min-heap of offsets returned by expired leases, awaiting redelivery
+        self.redeliver: list[int] = []
         # at-least-once batch each consumer holds until its next poll
         self.leases: dict[str, _Lease] = {}
 
-    def mark_done(self, partition: int, offsets: list[int]) -> None:
-        done = self.done[partition]
+    def mark_done(self, offsets: list[int]) -> None:
+        done = self.done
         done.update(offsets)
-        frontier = self.committed[partition]
+        frontier = self.committed
         while frontier in done:
             done.remove(frontier)
             frontier += 1
-        self.committed[partition] = frontier
+        self.committed = frontier
 
     def reap_expired(self) -> None:
         now = time.monotonic()
@@ -76,18 +61,18 @@ class _Group:
             self.requeue(self.leases.pop(consumer))
 
     def requeue(self, lease: _Lease) -> None:
-        for part_idx, offsets in lease.offsets.items():
-            queue = self.redeliver[part_idx]
-            for off in offsets:
-                heapq.heappush(queue, off)
+        for off in lease.offsets:
+            heapq.heappush(self.redeliver, off)
 
 
 class _Topic:
-    def __init__(self, name: str, partition_count: int) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.partitions = [_Partition(i) for i in range(partition_count)]
+        self.next_offset = 0
+        # live records by offset; a dict, because a poll may delete a
+        # redelivered offset after later ones
+        self.records: dict[int, LogRecord] = {}
         self.groups: dict[str, _Group] = {}
-        self.rr_counter = 0
         self.lock = threading.RLock()
         self.changed = threading.Condition(self.lock)
         self.version = 0
@@ -99,7 +84,7 @@ class _Topic:
     def join(self, group_id: str) -> _Group:
         group = self.groups.get(group_id)
         if group is None:
-            group = self.groups[group_id] = _Group(len(self.partitions))
+            group = self.groups[group_id] = _Group()
         return group
 
 
@@ -113,13 +98,11 @@ class Broker:
 
     # -- topic management --
 
-    def create_topic(self, name: str, partition_count: int = 1) -> None:
-        if partition_count < 1:
-            raise ValueError("partition_count must be positive")
+    def create_topic(self, name: str) -> None:
         with self._lock:
             if name in self._topics:
                 raise DuplicateTopic(name)
-            self._topics[name] = _Topic(name, partition_count)
+            self._topics[name] = _Topic(name)
 
     def delete_topic(self, name: str) -> None:
         with self._lock:
@@ -137,46 +120,41 @@ class Broker:
     # -- producer side --
 
     def append(self, topic: str, value: bytes) -> int:
-        """Append one record, routing partitions round-robin; returns its offset."""
+        """Append one record to the end of the log; returns its offset."""
         t = self._topic(topic)
         with t.lock:
-            part = t.partitions[t.rr_counter % len(t.partitions)]
-            t.rr_counter += 1
-            offset = part.append(value)
+            offset = t.next_offset
+            t.records[offset] = LogRecord(value=value, offset=offset,
+                                          publish_time=_now_ms())
+            t.next_offset = offset + 1
             t.bump()
             return offset
 
     # -- consumer side --
 
-    def _take(self, t: _Topic, group: _Group, limit: int | None) -> dict[int, list[LogRecord]]:
+    def _take(self, t: _Topic, group: _Group, limit: int | None) -> list[LogRecord]:
         """Next records for the group: redeliveries first, then fresh ones."""
-        taken: dict[int, list[LogRecord]] = {}
+        out: list[LogRecord] = []
         budget = limit if limit is not None else -1
-        for part in t.partitions:
-            out: list[LogRecord] = []
-            frontier = group.committed[part.index]
-            done = group.done[part.index]
-            queue = group.redeliver[part.index]
-            while queue and budget != 0:
-                off = heapq.heappop(queue)
-                rec = part.records.get(off)
-                if rec is not None and off >= frontier and off not in done:
-                    out.append(rec)
-                    budget -= 1
-            cursor = group.cursor[part.index]
-            while cursor < part.next_offset and budget != 0:
-                off = cursor
-                rec = part.records.get(off)
-                cursor += 1
-                if rec is not None and off >= frontier and off not in done:
-                    out.append(rec)
-                    budget -= 1
-            group.cursor[part.index] = cursor
-            if out:
-                taken[part.index] = out
-            if budget == 0:
-                break
-        return taken
+        records = t.records
+        frontier = group.committed
+        done = group.done
+        queue = group.redeliver
+        while queue and budget != 0:
+            off = heapq.heappop(queue)
+            rec = records.get(off)
+            if rec is not None and off >= frontier and off not in done:
+                out.append(rec)
+                budget -= 1
+        cursor = group.cursor
+        while cursor < t.next_offset and budget != 0:
+            rec = records.get(cursor)
+            if rec is not None and cursor >= frontier and cursor not in done:
+                out.append(rec)
+                budget -= 1
+            cursor += 1
+        group.cursor = cursor
+        return out
 
     def poll(self, topic: str, group_id: str, consumer: str,
              mode: ConsumerMode, max_records: int | None = None) -> list[LogRecord]:
@@ -195,23 +173,23 @@ class Broker:
             alo = mode is ConsumerMode.AT_LEAST_ONCE
             held = group.leases.pop(consumer, None) if alo else None
             if held is not None:
-                for part_idx, offsets in held.offsets.items():
-                    group.mark_done(part_idx, offsets)
+                group.mark_done(held.offsets)
             taken = self._take(t, group, max_records)
-            if alo and taken:
-                group.leases[consumer] = _Lease(
-                    offsets={p: [r.offset for r in recs] for p, recs in taken.items()},
-                    deadline=time.monotonic() + self.lease_ms / 1000.0,
-                )
-            elif not alo:
-                for part_idx, recs in taken.items():
-                    records = t.partitions[part_idx].records
-                    for rec in recs:
-                        del records[rec.offset]
-                    group.mark_done(part_idx, [r.offset for r in recs])
+            if taken:
+                offsets = [rec.offset for rec in taken]
+                if alo:
+                    group.leases[consumer] = _Lease(
+                        offsets=offsets,
+                        deadline=time.monotonic() + self.lease_ms / 1000.0,
+                    )
+                else:
+                    records = t.records
+                    for off in offsets:
+                        del records[off]
+                    group.mark_done(offsets)
             if taken or held is not None:
                 t.bump()
-            return [rec for recs in taken.values() for rec in recs]
+            return taken
 
     def expire_consumer(self, topic: str, group_id: str, consumer: str) -> None:
         """Simulate a member crash: its leased batch returns for redelivery."""
@@ -256,26 +234,22 @@ class Broker:
         with t.lock:
             return TopicStats(
                 name=t.name,
-                partitions=len(t.partitions),
-                appended=sum(p.next_offset for p in t.partitions),
-                remaining=sum(len(p.records) for p in t.partitions),
-                committed={
-                    gid: sum(g.committed.values()) for gid, g in t.groups.items()
-                },
+                appended=t.next_offset,
+                remaining=len(t.records),
+                committed={gid: g.committed for gid, g in t.groups.items()},
             )
 
     def pending(self, topic: str, group_id: str) -> int:
         """Records the group has not finished: fresh, redeliverable or leased."""
         t = self._topic(topic)
         with t.lock:
+            records = t.records
             group = t.groups.get(group_id)
             if group is None:
-                return sum(len(part.records) for part in t.partitions)
+                return len(records)
             group.reap_expired()
-            total = sum(len(offsets) for lease in group.leases.values()
-                        for offsets in lease.offsets.values())
-            for part in t.partitions:  # fresh: only offsets past the cursor
-                fresh = range(group.cursor[part.index], part.next_offset)
-                total += sum(1 for off in fresh if off in part.records)
-                total += sum(1 for off in group.redeliver[part.index] if off in part.records)
+            total = sum(len(lease.offsets) for lease in group.leases.values())
+            # fresh: only offsets past the cursor
+            total += sum(1 for off in range(group.cursor, t.next_offset) if off in records)
+            total += sum(1 for off in group.redeliver if off in records)
             return total

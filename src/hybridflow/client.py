@@ -139,11 +139,9 @@ class DistroStreamClient:
     # -- registry operations --
 
     def register_stream(self, kind: StreamKind, alias: str | None,
-                        base_dir: str | None, partitions: int = 1) -> tuple[str, bool]:
+                        base_dir: str | None) -> tuple[str, bool]:
         try:
-            frame = self.request("REGISTER", [
-                kind.value, alias or "", base_dir or "", str(partitions),
-            ])
+            frame = self.request("REGISTER", [kind.value, alias or "", base_dir or ""])
         except ServerUnreachable as exc:
             raise RegistrationError(str(exc)) from exc
         return frame.fields[0], frame.fields[1] == "1"

@@ -1,39 +1,28 @@
-"""Pluggable payload codec boundary.
+"""Payload encodings: stream values to bytes, and length-prefixed blocks.
 
-The reference codec is length-prefixed raw bytes: values are encoded to a
-byte string and framed as a 4-byte big-endian length followed by the body.
-Anything that needs a structured encoding (the workbench record types, task
-arguments) layers on top of these helpers.
+A stream payload is bytes or str (sent as UTF-8). Blocks are framed as a
+4-byte big-endian length followed by the body. Anything that needs a
+structured encoding (the workbench record types, task arguments) layers on
+top of these helpers.
 """
 from __future__ import annotations
 
 import io
 import pickle
 import struct
-from typing import Protocol
 
 _LEN = struct.Struct(">I")
 
 
-class Codec(Protocol):
-    def encode(self, value: object) -> bytes: ...
-    def decode(self, data: bytes) -> object: ...
-
-
-class RawBytesCodec:
-    """Identity codec for byte payloads; str is encoded as UTF-8."""
-
-    def encode(self, value: object) -> bytes:
-        if isinstance(value, bytes):
-            return value
-        if isinstance(value, bytearray):
-            return bytes(value)
-        if isinstance(value, str):
-            return value.encode("utf-8")
-        raise TypeError(f"raw codec only carries bytes or str, got {type(value).__name__}")
-
-    def decode(self, data: bytes) -> object:
-        return data
+def to_bytes(value: object) -> bytes:
+    """A stream payload as bytes: bytes and bytearray pass through, str is UTF-8."""
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, bytearray):
+        return bytes(value)
+    if isinstance(value, str):
+        return value.encode("utf-8")
+    raise TypeError(f"stream payloads are bytes or str, got {type(value).__name__}")
 
 
 class PickleCodec:
@@ -46,7 +35,6 @@ class PickleCodec:
         return pickle.loads(data)
 
 
-DEFAULT_CODEC = RawBytesCodec()
 OBJECT_CODEC = PickleCodec()
 
 

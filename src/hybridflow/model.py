@@ -61,11 +61,10 @@ class StreamElement:
 
 @dataclass(frozen=True)
 class LogRecord:
-    """Record inside a partitioned log; offset is per-partition and never reused."""
+    """Record inside a topic's log; its offset is never reused."""
 
     value: bytes
     offset: int
-    partition: int
     publish_time: int
 
 
@@ -74,7 +73,6 @@ class TopicStats:
     """Quiescent-point accounting used by conservation checks."""
 
     name: str
-    partitions: int
     appended: int
     remaining: int
     committed: dict[str, int] = field(default_factory=dict)

@@ -327,7 +327,6 @@ class StreamServer:
         kind = StreamKind(self._field(frame, 0, "kind"))
         alias = self._field(frame, 1, "alias") or None
         base_dir = self._field(frame, 2, "base_dir") or None
-        partitions = int(self._field(frame, 3, "partitions") or "1")
         if kind is StreamKind.FILE:
             if not base_dir:
                 raise InvalidPath("FILE streams require base_dir")
@@ -342,7 +341,7 @@ class StreamServer:
             kind, alias, backend_ref_for=lambda sid: sid if kind is StreamKind.OBJECT
             else base_dir, base_dir=base_dir)
         if created:
-            self.broker.create_topic(entry.id, partition_count=partitions)
+            self.broker.create_topic(entry.id)
             if kind is StreamKind.FILE:
                 self.monitor.register_dir(entry.id, base_dir)
         self._log(frame, "id=%s created=%d", entry.id, created)

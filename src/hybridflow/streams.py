@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from .client import DistroStreamClient
-from .codec import DEFAULT_CODEC, Codec
+from .codec import to_bytes
 from .errors import BackendError
 from .model import ConsumerMode, StreamElement, StreamHandle, StreamKind
 
@@ -20,11 +20,9 @@ class DistroStream:
     """Publish/poll/close/metadata API bound to one backend stream."""
 
     def __init__(self, client: DistroStreamClient, handle: StreamHandle,
-                 codec: Codec = DEFAULT_CODEC,
                  group: str | None = None) -> None:
         self._client = client
         self.handle = handle
-        self._codec = codec
         self._group = group
         self._token = client.new_token()
 
@@ -62,7 +60,7 @@ class DistroStream:
             return
         payloads = []
         for item in items:
-            data = self._codec.encode(item)
+            data = to_bytes(item)
             if not data:
                 raise BackendError("stream payloads must be non-empty")
             payloads.append(data)
@@ -115,25 +113,23 @@ class DistroStream:
 def create_stream(client: DistroStreamClient, kind: StreamKind,
                   alias: str | None = None, base_dir: str | None = None,
                   consumer_mode: ConsumerMode = ConsumerMode.EXACTLY_ONCE,
-                  partitions: int = 1, register_producer: bool = False,
-                  codec: Codec = DEFAULT_CODEC,
+                  register_producer: bool = False,
                   group: str | None = None) -> DistroStream:
     """Create (or attach to, by alias) a stream and return its local binding.
 
     register_producer acquires a producer grant for this instance up front;
     file producers need it because writing files never goes through publish.
     """
-    stream_id, _created = client.register_stream(
-        kind, alias, base_dir, partitions=partitions)
+    stream_id, _created = client.register_stream(kind, alias, base_dir)
     handle = StreamHandle(id=stream_id, kind=kind, alias=alias,
                           base_dir=base_dir, consumer_mode=consumer_mode)
-    stream = DistroStream(client, handle, codec=codec, group=group)
+    stream = DistroStream(client, handle, group=group)
     if register_producer:
         client.add_producer(stream_id, stream._token)
     return stream
 
 
 def attach(client: DistroStreamClient, handle: StreamHandle,
-           codec: Codec = DEFAULT_CODEC, group: str | None = None) -> DistroStream:
+           group: str | None = None) -> DistroStream:
     """Bind an existing handle (e.g. received as a task argument) locally."""
-    return DistroStream(client, handle, codec=codec, group=group)
+    return DistroStream(client, handle, group=group)

@@ -3,6 +3,9 @@ import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from hybridflow.broker import Broker
 from hybridflow.errors import DuplicateTopic, UnknownGroup, UnknownTopic
@@ -20,32 +23,23 @@ def make_broker(**kw) -> Broker:
 class TestTopics:
     def test_create_single_partition(self):
         b = make_broker()
-        b.create_topic("s-001", 1)
+        b.create_topic("s-001")
         stats = b.stats("s-001")
-        assert stats.partitions == 1
         assert stats.appended == 0
         assert stats.remaining == 0
 
     def test_duplicate_name(self):
         b = make_broker()
-        b.create_topic("s-001", 1)
+        b.create_topic("s-001")
         with pytest.raises(DuplicateTopic):
-            b.create_topic("s-001", 1)
-
-    def test_partition_offsets_independent(self):
-        # oracle: appends routed round-robin land once on each partition,
-        # so every partition's first offset must be 0
-        b = make_broker()
-        b.create_topic("s-002", 3)
-        offs = [b.append("s-002", f"v{i}".encode()) for i in range(3)]
-        assert offs == [0, 0, 0]
+            b.create_topic("s-001")
 
     def test_delete_then_recreate_is_empty(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"x")
         b.delete_topic("t")
-        b.create_topic("t", 1)
+        b.create_topic("t")
         assert b.stats("t").appended == 0
 
     def test_delete_unknown(self):
@@ -55,10 +49,10 @@ class TestTopics:
 
     def test_delete_drops_group_state(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.poll("t", "g", "c1", EO)
         b.delete_topic("t")
-        b.create_topic("t", 1)
+        b.create_topic("t")
         with pytest.raises(UnknownGroup):
             b.expire_consumer("t", "g", "c1")
 
@@ -66,12 +60,12 @@ class TestTopics:
 class TestAppend:
     def test_first_offset_zero(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         assert b.append("t", b"a") == 0
 
     def test_sequential_offsets(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         assert [b.append("t", bytes([i])) for i in range(3)] == [0, 1, 2]
 
     def test_unknown_topic(self):
@@ -82,7 +76,7 @@ class TestAppend:
     def test_offsets_survive_deletion(self):
         # deletion must not renumber: offsets keep counting all appends ever
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"a")
         recs = b.poll("t", "g", "c", ConsumerMode.EXACTLY_ONCE)
         assert [r.offset for r in recs] == [0]
@@ -94,7 +88,7 @@ class TestFetchCommit:
 
     def test_fetch_all_from_zero(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(5):
             b.append("t", bytes([i]))
         records = b.poll("t", "g", "c", EO)
@@ -105,13 +99,13 @@ class TestFetchCommit:
 
     def test_empty_log(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for mode in (EO, ALO, AMO):
             assert b.poll("t", "g", "c", mode) == []
 
     def test_two_members_disjoint_union(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         values = [bytes([i]) for i in range(10)]
         for v in values:
             b.append("t", v)
@@ -127,7 +121,7 @@ class TestFetchCommit:
         # exactly-once deletes on delivery: no lease is left behind, so a
         # crash right after the poll gives nothing back
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(3):
             b.append("t", bytes([i]))
         assert len(b.poll("t", "g", "c1", EO)) == 3
@@ -138,7 +132,7 @@ class TestFetchCommit:
 
     def test_crash_redelivery_at_least_once(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(4):
             b.append("t", bytes([i]))
         assert len(b.poll("t", "g", "dead1", ALO, max_records=2)) == 2
@@ -151,7 +145,7 @@ class TestFetchCommit:
 
     def test_no_redelivery_at_most_once(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(3):
             b.append("t", bytes([i]))
         assert len(b.poll("t", "g", "dead", AMO)) == 3
@@ -160,7 +154,7 @@ class TestFetchCommit:
 
     def test_lease_timeout_redelivery(self):
         b = make_broker(lease_ms=20)
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"a")
         assert len(b.poll("t", "g", "dead", ALO)) == 1
         time.sleep(0.05)
@@ -170,7 +164,7 @@ class TestFetchCommit:
 class TestModePolls:
     def test_exactly_once_poll_removes_records(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(4):
             b.append("t", bytes([i]))
         got = b.poll("t", "g", "c", ConsumerMode.EXACTLY_ONCE)
@@ -180,7 +174,7 @@ class TestModePolls:
 
     def test_at_least_once_lagged_commit(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"a")
         first = b.poll("t", "g", "c1", ConsumerMode.AT_LEAST_ONCE)
         assert len(first) == 1
@@ -195,7 +189,7 @@ class TestModePolls:
 
     def test_greedy_first_poller_takes_all(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(4):
             b.append("t", bytes([i]))
         assert len(b.poll("t", "g", "c1", ConsumerMode.EXACTLY_ONCE)) == 4
@@ -205,7 +199,7 @@ class TestModePolls:
 class TestPendingAndWait:
     def test_pending_counts_leased_records(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(3):
             b.append("t", bytes([i]))
         assert b.pending("t", "g") == 3
@@ -218,7 +212,7 @@ class TestPendingAndWait:
 
     def test_change_before_wait_is_not_lost(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         seen = b.version("t")
         assert b.poll("t", "g", "c1", EO) == []
         b.append("t", b"late")  # lands between the empty poll and the wait
@@ -229,7 +223,7 @@ class TestPendingAndWait:
 
     def test_wake_releases_a_waiter(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         threading.Timer(0.05, b.wake, args=("t",)).start()
         start = time.monotonic()
         b.wait("t", "g", b.version("t"), time.monotonic() + 5)
@@ -237,7 +231,7 @@ class TestPendingAndWait:
 
     def test_wait_ends_at_lease_deadline(self):
         b = make_broker(lease_ms=100)
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"v")
         assert len(b.poll("t", "g", "dead", ALO)) == 1
         start = time.monotonic()
@@ -250,7 +244,7 @@ class TestInvariants:
     def test_conservation_exactly_once(self):
         # |appended| == |fetched and committed| + |remaining| at quiescence
         b = make_broker()
-        b.create_topic("t", 2)
+        b.create_topic("t")
         for i in range(20):
             b.append("t", bytes([i]))
         delivered = []
@@ -262,7 +256,7 @@ class TestInvariants:
 
     def test_partition_order_prefix_monotone(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         for i in range(30):
             b.append("t", bytes([i]))
         seen = []
@@ -274,8 +268,116 @@ class TestInvariants:
 
     def test_record_immutable(self):
         b = make_broker()
-        b.create_topic("t", 1)
+        b.create_topic("t")
         b.append("t", b"a")
         rec = b.poll("t", "g", "c", ConsumerMode.AT_LEAST_ONCE)[0]
         with pytest.raises(Exception):
             rec.value = b"mutated"
+
+
+CONSUMERS = st.sampled_from(["c0", "c1", "c2", "c3"])
+
+
+class _GroupModel:
+    def __init__(self) -> None:
+        self.cursor = 0
+        self.done: set[int] = set()
+        self.redeliver: set[int] = set()
+        self.leases: dict[str, list[int]] = {}
+
+
+class BrokerMachine(RuleBasedStateMachine):
+    """One topic polled by one group per mode, against a plain model of one log.
+
+    Leases never time out (the lease is far longer than any run), so only
+    expire_consumer returns a batch for redelivery.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.broker = Broker(lease_ms=10**9)
+        self.broker.create_topic("t")
+        self.appended = 0
+        self.live: set[int] = set()
+        self.groups: dict[str, _GroupModel] = {}
+        self.handed: dict[str, set[int]] = {m.value: set() for m in ConsumerMode}
+        self.last_fresh: dict[str, int] = {m.value: -1 for m in ConsumerMode}
+
+    def _model_poll(self, mode: ConsumerMode, consumer: str,
+                    limit: int | None) -> list[int]:
+        g = self.groups.setdefault(mode.value, _GroupModel())
+        alo = mode is ALO
+        if alo:
+            g.done.update(g.leases.pop(consumer, []))
+        budget = limit if limit is not None else float("inf")
+        taken = []
+        for off in sorted(g.redeliver):
+            if len(taken) == budget:
+                break
+            g.redeliver.discard(off)
+            if off in self.live and off not in g.done:
+                taken.append(off)
+        while g.cursor < self.appended and len(taken) < budget:
+            if g.cursor in self.live and g.cursor not in g.done:
+                taken.append(g.cursor)
+            g.cursor += 1
+        if alo and taken:
+            g.leases[consumer] = taken
+        elif not alo:
+            self.live.difference_update(taken)
+            g.done.update(taken)
+        return taken
+
+    @rule()
+    def append(self):
+        assert self.broker.append("t", b"v%d" % self.appended) == self.appended
+        self.live.add(self.appended)
+        self.appended += 1
+
+    @rule(mode=st.sampled_from([EO, AMO, ALO]), consumer=CONSUMERS,
+          limit=st.sampled_from([None, 1, 5]))
+    def poll(self, mode, consumer, limit):
+        got = [r.offset for r in self.broker.poll("t", mode.value, consumer, mode, limit)]
+        assert got == self._model_poll(mode, consumer, limit)
+        handed = self.handed[mode.value]
+        redelivered = [off for off in got if off in handed]
+        fresh = [off for off in got if off not in handed]
+        assert redelivered == sorted(redelivered)
+        for off in fresh:
+            assert off > self.last_fresh[mode.value]
+            self.last_fresh[mode.value] = off
+        if mode is not ALO:
+            assert not redelivered
+        handed.update(got)
+
+    @rule(consumer=CONSUMERS)
+    def expire_consumer(self, consumer):
+        # only at-least-once members hold leases; the other modes have none to expire
+        g = self.groups.get(ALO.value)
+        if g is None:
+            with pytest.raises(UnknownGroup):
+                self.broker.expire_consumer("t", ALO.value, consumer)
+            return
+        self.broker.expire_consumer("t", ALO.value, consumer)
+        g.redeliver.update(g.leases.pop(consumer, []))
+
+    @invariant()
+    def pending_matches_model(self):
+        for mode in (EO, AMO, ALO):
+            g = self.groups.get(mode.value)
+            if g is None:
+                want = len(self.live)
+            else:
+                want = (sum(len(offs) for offs in g.leases.values())
+                        + sum(1 for off in range(g.cursor, self.appended) if off in self.live)
+                        + sum(1 for off in g.redeliver if off in self.live))
+            assert self.broker.pending("t", mode.value) == want
+
+    @invariant()
+    def appended_counts_every_append(self):
+        assert self.broker.stats("t").appended == self.appended
+
+
+BrokerMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=40,
+                                           deadline=None)
+TestBrokerMachine = BrokerMachine.TestCase

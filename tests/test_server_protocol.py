@@ -8,6 +8,7 @@ import pytest
 
 from hybridflow import protocol
 from hybridflow.client import DistroStreamClient
+from hybridflow.codec import pack_blocks
 from hybridflow.errors import ProtocolError, ServerUnreachable
 from hybridflow.model import StreamKind
 from hybridflow.streams import create_stream
@@ -155,6 +156,28 @@ class TestServerRobustness:
         bye = raw.call("BYE", [])
         assert bye.verb == "OK"
         raw.close()
+
+    def test_register_ignores_a_trailing_partition_count(self, server, monkeypatch):
+        # an older client sends a fourth REGISTER field, a partition count
+        thread_errors = []
+        monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+        raw = _RawClient(server.host, server.port)
+        reply = raw.call("REGISTER", ["OBJECT", "old-client", "", "0"])
+        assert reply.verb == "OK", reply.fields
+        stream_id = reply.fields[0]
+        published = raw.call("PUBREQ", [stream_id, "old#1"], pack_blocks([b"x"]))
+        assert published.verb == "OK", published.fields
+        polled = raw.call("POLLREQ", [stream_id, "old#2", "g", "EXACTLY_ONCE", "", "0"])
+        assert polled.verb == "OK", polled.fields
+        assert [value for _, value in protocol.unpack_elements(polled.payload)] == [b"x"]
+        peer = "%s:%d" % raw.sock.getsockname()[:2]
+        served = [t for t in threading.enumerate() if t.name == f"ds-conn-{peer}"]
+        assert served
+        raw.close()  # the server closes the producer grant the PUBREQ took
+        for thread in served:
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+        assert thread_errors == []
 
     def test_malformed_frame_connection_survives(self, server):
         raw = _RawClient(server.host, server.port)

@@ -88,6 +88,23 @@ class TestPublishPoll:
         with pytest.raises(BackendError):
             s.publish(b"x")
 
+    def test_publish_of_a_non_bytes_value_sends_nothing(self, client, monkeypatch):
+        s = create_stream(client, StreamKind.OBJECT)
+        verbs = []
+        request = client.request
+
+        def counting(verb, *args, **kwargs):
+            verbs.append(verb)
+            return request(verb, *args, **kwargs)
+
+        monkeypatch.setattr(client, "request", counting)
+        with pytest.raises(TypeError):
+            s.publish(123)
+        with pytest.raises(TypeError):
+            s.publish([b"ok", 123])
+        assert verbs == []
+        assert s.poll() == []
+
     def test_second_poll_empty(self, client):
         s = create_stream(client, StreamKind.OBJECT)
         s.publish([b"1", b"2", b"3"])
