@@ -2,12 +2,21 @@
 
 Topics are named after stream ids; each topic is one log whose records carry
 a strictly sequential offset that survives deletion. A consumer group tracks
-a committed frontier over the log. Broker.poll is the only consume path:
+a committed frontier over the log: every offset below it the group has
+finished or can never receive. Broker.poll is the only consume path:
 EXACTLY_ONCE and AT_MOST_ONCE delete what they deliver, while AT_LEAST_ONCE
 leases each batch until the consumer's next poll commits it, so a member that
 dies in between has its batch redelivered. A poll hands out redeliveries
 first, lowest offset first, then fresh records in publish order.
-Broker.poll never blocks; wait() blocks until the topic's version moves.
+
+Retention: a record is kept only until every group that has joined the topic
+has committed past it. A poll that moves its group's frontier deletes every
+offset below the lowest frontier of the topic's groups and raises the topic's
+low-water mark to it, walking each offset once. A group joins at its first
+poll and starts at the mark, so it never sees a record other groups have
+already released; a joined group that stops polling keeps every record from
+its frontier on. Broker.poll never blocks; wait() blocks until the topic's
+version moves, and delete_topic() wakes the topic's waiters.
 """
 from __future__ import annotations
 
@@ -33,24 +42,35 @@ class _Lease:
 
 
 class _Group:
-    def __init__(self) -> None:
+    def __init__(self, start: int) -> None:
         # committed frontier: everything below is permanently done
-        self.committed = 0
+        self.committed = start
         # individually acked offsets not yet contiguous with the frontier
         self.done: set[int] = set()
         # next fresh offset to hand out (>= committed frontier)
-        self.cursor = 0
+        self.cursor = start
         # min-heap of offsets returned by expired leases, awaiting redelivery
         self.redeliver: list[int] = []
         # at-least-once batch each consumer holds until its next poll
         self.leases: dict[str, _Lease] = {}
 
-    def mark_done(self, offsets: list[int]) -> None:
+    def mark_done(self, offsets: list[int], records: dict[int, LogRecord]) -> None:
+        """Record finished offsets (ascending) and advance the frontier.
+
+        The frontier also passes offsets behind the cursor that are no longer
+        in the log: another group consumed them, so this one never will.
+        """
         done = self.done
-        done.update(offsets)
         frontier = self.committed
-        while frontier in done:
-            done.remove(frontier)
+        if offsets and offsets[0] == frontier and offsets[-1] - frontier == len(offsets) - 1:
+            frontier += len(offsets)  # one run starting at the frontier: the common case
+        else:
+            if offsets and offsets[0] < frontier:  # passed while leased
+                offsets = [off for off in offsets if off >= frontier]
+            done.update(offsets)
+        cursor = self.cursor
+        while frontier in done or (frontier < cursor and frontier not in records):
+            done.discard(frontier)
             frontier += 1
         self.committed = frontier
 
@@ -73,6 +93,8 @@ class _Topic:
         # redelivered offset after later ones
         self.records: dict[int, LogRecord] = {}
         self.groups: dict[str, _Group] = {}
+        # low-water mark: every offset below it is deleted for good
+        self.low = 0
         self.lock = threading.RLock()
         self.changed = threading.Condition(self.lock)
         self.version = 0
@@ -84,8 +106,16 @@ class _Topic:
     def join(self, group_id: str) -> _Group:
         group = self.groups.get(group_id)
         if group is None:
-            group = self.groups[group_id] = _Group()
+            group = self.groups[group_id] = _Group(self.low)
         return group
+
+    def retain(self) -> None:
+        """Delete what every group has committed past; caller holds the lock."""
+        low = min(g.committed for g in self.groups.values())
+        records = self.records
+        for off in range(self.low, low):
+            records.pop(off, None)
+        self.low = max(self.low, low)
 
 
 class Broker:
@@ -105,10 +135,13 @@ class Broker:
             self._topics[name] = _Topic(name)
 
     def delete_topic(self, name: str) -> None:
+        """Drop the topic; its waiters wake and find it gone."""
         with self._lock:
-            if name not in self._topics:
-                raise UnknownTopic(name)
-            del self._topics[name]
+            t = self._topics.pop(name, None)
+        if t is None:
+            raise UnknownTopic(name)
+        with t.lock:
+            t.bump()
 
     def _topic(self, name: str) -> _Topic:
         with self._lock:
@@ -146,10 +179,12 @@ class Broker:
             if rec is not None and off >= frontier and off not in done:
                 out.append(rec)
                 budget -= 1
+        # no offset at or past the cursor was handed out, so none is done
         cursor = group.cursor
-        while cursor < t.next_offset and budget != 0:
+        end = t.next_offset
+        while cursor < end and budget != 0:
             rec = records.get(cursor)
-            if rec is not None and cursor >= frontier and cursor not in done:
+            if rec is not None:
                 out.append(rec)
                 budget -= 1
             cursor += 1
@@ -162,18 +197,20 @@ class Broker:
 
         EXACTLY_ONCE and AT_MOST_ONCE mark the records done and delete them
         before returning, so nothing is ever redelivered. AT_LEAST_ONCE first
-        commits the consumer's previous batch (without deletion) and then
-        leases the new one, so only a member that never polls again, or
-        outlives the lease, leaves its batch to be redelivered.
+        commits the consumer's previous batch and then leases the new one, so
+        only a member that never polls again, or outlives the lease, leaves
+        its batch to be redelivered. A poll that moves the group's frontier
+        then deletes what every group has committed past.
         """
         t = self._topic(topic)
         with t.lock:
             group = t.join(group_id)
             group.reap_expired()
+            frontier = group.committed
             alo = mode is ConsumerMode.AT_LEAST_ONCE
             held = group.leases.pop(consumer, None) if alo else None
             if held is not None:
-                group.mark_done(held.offsets)
+                group.mark_done(held.offsets, t.records)
             taken = self._take(t, group, max_records)
             if taken:
                 offsets = [rec.offset for rec in taken]
@@ -186,7 +223,9 @@ class Broker:
                     records = t.records
                     for off in offsets:
                         del records[off]
-                    group.mark_done(offsets)
+                    group.mark_done(offsets, records)
+            if group.committed != frontier:
+                t.retain()
             if taken or held is not None:
                 t.bump()
             return taken

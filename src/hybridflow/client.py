@@ -169,6 +169,10 @@ class DistroStreamClient:
         frame = self.request("CLOSE", [stream_id, token, "revoke"])
         return frame.fields[0] == "1"
 
+    def delete_stream(self, stream_id: str) -> None:
+        """Free the stream on the server; later requests naming it get UnknownStream."""
+        self.request("DELETE", [stream_id])
+
     # -- data path --
 
     def publish(self, stream_id: str, token: str, payloads: list[bytes]) -> None:

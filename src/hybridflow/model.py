@@ -59,7 +59,7 @@ class StreamElement:
         return self.payload.decode("utf-8")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """Record inside a topic's log; its offset is never reused."""
 

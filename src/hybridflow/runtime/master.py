@@ -381,8 +381,10 @@ class Runtime:
         with self._cond:
             self._resources.pop(worker_id, None)
             self._executors.pop(worker_id, None)
-            running = [t for t in self.graph.nodes.values()
-                       if t.state is TaskState.RUNNING and t.worker == worker_id]
+            # _exec_started holds exactly the RUNNING tasks, on every worker
+            nodes = self.graph.nodes
+            running = [nodes[tid] for tid in self._exec_started
+                       if nodes[tid].worker == worker_id]
         for task in running:
             self._complete(TaskOutcome(task_id=task.task_id, ok=False,
                                        error=f"worker {worker_id} lost"), worker_id)

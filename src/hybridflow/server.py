@@ -13,6 +13,11 @@ closed before the poll looked at the queue and the group has nothing left to
 finish. A poll never lists a FILE stream's directory; the monitor's tick does,
 and so does every close of a producer (CLOSE, revoke or a dropped connection)
 before it can flag the stream closed.
+
+Nothing leaves the registry on its own. DELETE frees a stream: its registry
+entry and alias, its directory monitor state and its broker topic, whose
+parked polls then answer UnknownStream, as does every later request naming
+the id. Registering the alias again makes a new stream.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .codec import unpack_blocks
 from .dirmon import DEFAULT_TICK_MS, DirectoryMonitor
 from .errors import (
     AliasKindMismatch, BackendError, BindError, ClosedStreamError,
-    HybridflowError, InvalidPath, ProtocolError, UnknownStream,
+    HybridflowError, InvalidPath, ProtocolError, UnknownStream, UnknownTopic,
 )
 from .model import ConsumerMode, StreamKind
 
@@ -138,6 +143,16 @@ class StreamRegistry:
             entry.closed = True
             return True
         return False
+
+    def delete(self, stream_id: str) -> StreamRegistryEntry:
+        """Forget the stream and free its alias."""
+        with self._lock:
+            entry = self._entries.pop(stream_id, None)
+            if entry is None:
+                raise UnknownStream(stream_id)
+            if entry.alias:
+                self._by_alias.pop((entry.alias, entry.kind), None)
+            return entry
 
     def live_entries(self) -> int:
         with self._lock:
@@ -266,6 +281,9 @@ class StreamServer:
         """Send the handler's reply (None: it answers later), or an ERR; False if gone."""
         try:
             reply = handler(*args)
+        except UnknownTopic as exc:  # the stream was deleted mid-request
+            reply = protocol.err(frame.corr_id, UnknownStream.__name__, str(exc))
+            self._log(frame, "error:%s", UnknownStream.__name__)
         except HybridflowError as exc:
             reply = protocol.err(frame.corr_id, type(exc).__name__, str(exc))
             self._log(frame, "error:%s", type(exc).__name__)
@@ -290,7 +308,7 @@ class StreamServer:
                 self._scan_before_close(stream_id)
                 if self.registry.close_producer(stream_id, token):
                     self.broker.wake(stream_id)
-            except UnknownStream:
+            except (UnknownStream, UnknownTopic):  # deleted meanwhile
                 pass
 
     def _scan_before_close(self, stream_id: str) -> None:
@@ -381,6 +399,15 @@ class StreamServer:
                 self._conns[conn].discard((stream_id, token))
         self._log(frame, "closed" if fully_closed else "open")
         return protocol.ok(frame.corr_id, ["1" if fully_closed else "0"])
+
+    def _op_delete(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
+        stream_id = self._field(frame, 0, "id")
+        self.registry.delete(stream_id)
+        # after this no scan of the stream runs, so none appends to its topic
+        self.monitor.unregister(stream_id)
+        self.broker.delete_topic(stream_id)
+        self._log(frame, "deleted")
+        return protocol.ok(frame.corr_id)
 
     def _op_pubreq(self, conn: protocol.Connection, frame: protocol.Frame) -> protocol.Frame:
         stream_id = self._field(frame, 0, "id")

@@ -17,7 +17,7 @@ from .model import ConsumerMode, StreamElement, StreamHandle, StreamKind
 
 
 class DistroStream:
-    """Publish/poll/close/metadata API bound to one backend stream."""
+    """Publish/poll/close/delete/metadata API bound to one backend stream."""
 
     def __init__(self, client: DistroStreamClient, handle: StreamHandle,
                  group: str | None = None) -> None:
@@ -69,6 +69,14 @@ class DistroStream:
     def close(self) -> None:
         """Close this instance's producer registration; idempotent."""
         self._client.close_producer(self.handle.id, self._token)
+
+    def delete(self) -> None:
+        """Free the stream on the server for every holder of its handle.
+
+        Pending elements are dropped, parked polls fail with UnknownStream,
+        and the alias can be registered again as a new stream.
+        """
+        self._client.delete_stream(self.handle.id)
 
     # -- consumer side --
 

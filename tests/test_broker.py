@@ -1,11 +1,13 @@
 """Log broker: topics, offsets, groups, deletion, crash redelivery."""
+import random
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from hybridflow.broker import Broker
 from hybridflow.errors import DuplicateTopic, UnknownGroup, UnknownTopic
@@ -275,22 +277,94 @@ class TestInvariants:
             rec.value = b"mutated"
 
 
+class TestRetention:
+    """Records live only until every joined group has committed past them."""
+
+    def test_at_least_once_drain_leaves_only_the_last_lease(self):
+        rng = random.Random(7)
+        pool = [rng.randbytes(rng.randrange(16, 257)) for _ in range(1024)]
+        b = make_broker()
+        b.create_topic("t")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            delivered = 0
+            for start in range(0, 400_000, 100):
+                for seq in range(start, start + 100):
+                    b.append("t", seq.to_bytes(4, "big") + pool[seq % 1024])
+                delivered += len(b.poll("t", "g", "c", ALO, max_records=500))
+            while delivered < 400_000:
+                delivered += len(b.poll("t", "g", "c", ALO, max_records=500))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert b.stats("t").remaining <= 500
+        assert held < 5 * 2**20, f"{held} bytes still traced"
+
+    def test_late_group_starts_at_the_low_water_mark(self):
+        b = make_broker()
+        b.create_topic("t")
+        for i in range(1005):
+            b.append("t", b"v%d" % i)
+        assert len(b.poll("t", "a", "c", ALO, max_records=1000)) == 1000
+        assert len(b.poll("t", "a", "c", ALO, max_records=1)) == 1  # commits 0-999
+        assert b.stats("t").remaining == 5
+        got = b.poll("t", "b", "c", ALO, max_records=2)
+        assert [r.offset for r in got] == [1000, 1001]
+        assert b.pending("t", "b") == b.stats("t").remaining == 5
+
+    def test_a_group_that_stops_polling_pins_the_log(self):
+        b = make_broker()
+        b.create_topic("t")
+        for i in range(10):
+            b.append("t", bytes([i]))
+        assert len(b.poll("t", "idle", "c", ALO, max_records=2)) == 2
+        assert len(b.poll("t", "busy", "c", ALO)) == 10
+        assert b.poll("t", "busy", "c", ALO) == []
+        assert b.stats("t").remaining == 10
+        assert len(b.poll("t", "idle", "c", ALO)) == 8  # commits 0-1
+        assert b.stats("t").remaining == 8
+
+    def test_frontier_passes_offsets_another_group_deleted(self):
+        b = make_broker()
+        b.create_topic("t")
+        for i in range(6):
+            b.append("t", bytes([i]))
+        assert b.poll("t", "alo", "c", ALO, max_records=1)[0].offset == 0
+        assert len(b.poll("t", "eo", "c", EO, max_records=3)) == 3  # deletes 0-2
+        assert [r.offset for r in b.poll("t", "alo", "c", ALO)] == [3, 4, 5]
+        assert b.poll("t", "alo", "c", ALO) == []
+        assert b.stats("t").committed["alo"] == 6
+        assert len(b.poll("t", "eo", "c", EO)) == 3
+        assert b.stats("t").remaining == 0
+
+
 CONSUMERS = st.sampled_from(["c0", "c1", "c2", "c3"])
 
 
 class _GroupModel:
-    def __init__(self) -> None:
-        self.cursor = 0
+    def __init__(self, start: int) -> None:
+        self.cursor = start
+        # every offset below is finished for this group, or no longer in the log
+        self.committed = start
         self.done: set[int] = set()
         self.redeliver: set[int] = set()
         self.leases: dict[str, list[int]] = {}
+
+    def commit(self, offsets: list[int], live: set[int]) -> None:
+        self.done.update(offsets)
+        while self.committed in self.done or (
+                self.committed < self.cursor and self.committed not in live):
+            self.committed += 1
 
 
 class BrokerMachine(RuleBasedStateMachine):
     """One topic polled by one group per mode, against a plain model of one log.
 
     Leases never time out (the lease is far longer than any run), so only
-    expire_consumer returns a batch for redelivery.
+    expire_consumer returns a batch for redelivery. After every poll the log
+    keeps only offsets at or above the lowest committed frontier of the
+    groups that have polled, and a group's first poll starts at that mark.
     """
 
     def __init__(self) -> None:
@@ -299,16 +373,19 @@ class BrokerMachine(RuleBasedStateMachine):
         self.broker.create_topic("t")
         self.appended = 0
         self.live: set[int] = set()
+        self.low = 0
         self.groups: dict[str, _GroupModel] = {}
         self.handed: dict[str, set[int]] = {m.value: set() for m in ConsumerMode}
         self.last_fresh: dict[str, int] = {m.value: -1 for m in ConsumerMode}
 
     def _model_poll(self, mode: ConsumerMode, consumer: str,
                     limit: int | None) -> list[int]:
-        g = self.groups.setdefault(mode.value, _GroupModel())
+        g = self.groups.get(mode.value)
+        if g is None:
+            g = self.groups[mode.value] = _GroupModel(self.low)
         alo = mode is ALO
-        if alo:
-            g.done.update(g.leases.pop(consumer, []))
+        if alo and consumer in g.leases:
+            g.commit(g.leases.pop(consumer), self.live)
         budget = limit if limit is not None else float("inf")
         taken = []
         for off in sorted(g.redeliver):
@@ -323,9 +400,12 @@ class BrokerMachine(RuleBasedStateMachine):
             g.cursor += 1
         if alo and taken:
             g.leases[consumer] = taken
-        elif not alo:
+        elif not alo and taken:
             self.live.difference_update(taken)
-            g.done.update(taken)
+            g.commit(taken, self.live)
+        low = min(group.committed for group in self.groups.values())
+        self.live = {off for off in self.live if off >= low}
+        self.low = low
         return taken
 
     @rule()
@@ -334,9 +414,15 @@ class BrokerMachine(RuleBasedStateMachine):
         self.live.add(self.appended)
         self.appended += 1
 
-    @rule(mode=st.sampled_from([EO, AMO, ALO]), consumer=CONSUMERS,
-          limit=st.sampled_from([None, 1, 5]))
-    def poll(self, mode, consumer, limit):
+    @initialize(modes=st.sampled_from([(EO, AMO, ALO), (ALO,)]))
+    def choose_modes(self, modes):
+        # a run polled by the at-least-once group alone is the one whose
+        # log shrinks by retention rather than by delete-on-delivery
+        self.modes = modes
+
+    @rule(data=st.data(), consumer=CONSUMERS, limit=st.sampled_from([None, 1, 5]))
+    def poll(self, data, consumer, limit):
+        mode = data.draw(st.sampled_from(self.modes))
         got = [r.offset for r in self.broker.poll("t", mode.value, consumer, mode, limit)]
         assert got == self._model_poll(mode, consumer, limit)
         handed = self.handed[mode.value]
@@ -376,6 +462,15 @@ class BrokerMachine(RuleBasedStateMachine):
     @invariant()
     def appended_counts_every_append(self):
         assert self.broker.stats("t").appended == self.appended
+
+    @invariant()
+    def remaining_is_the_live_log(self):
+        assert self.broker.stats("t").remaining == len(self.live)
+
+    @invariant()
+    def frontiers_match_model(self):
+        want = {gid: g.committed for gid, g in self.groups.items()}
+        assert self.broker.stats("t").committed == want
 
 
 BrokerMachine.TestCase.settings = settings(max_examples=300, stateful_step_count=40,

@@ -8,7 +8,7 @@ import pytest
 from hybridflow.client import DistroStreamClient
 from hybridflow.errors import (
     AliasKindMismatch, BackendError, ClosedStreamError, InvalidPath,
-    RegistrationError, ServerUnreachable, UnknownStream,
+    RegistrationError, ServerUnreachable, UnknownStream, UnknownTopic,
 )
 from hybridflow.model import ConsumerMode, StreamHandle, StreamKind
 from hybridflow.server import StreamServer
@@ -435,6 +435,55 @@ class TestClose:
         assert outcome and not poller.is_alive()
         cli.close()
 
+
+class TestMemory:
+    """The server holds unfinished work only, and DELETE frees a whole stream."""
+
+    def test_at_least_once_drain_leaves_nothing_in_the_broker(self, server, client_factory):
+        sp = create_stream(client_factory(), StreamKind.OBJECT, alias="alo-drain")
+        sc = create_stream(client_factory(), StreamKind.OBJECT, alias="alo-drain",
+                           consumer_mode=ConsumerMode.AT_LEAST_ONCE)
+        for i in range(0, 20_000, 500):
+            sp.publish([b"%d" % j for j in range(i, i + 500)])
+        sp.close()
+        assert len(sc.drain(max_elements=500, timeout_ms=30_000)) == 20_000
+        stats = server.broker.stats(sp.id)
+        assert (stats.appended, stats.remaining) == (20_000, 0)
+
+    def test_delete_frees_the_stream_and_answers_parked_polls(self, server, client_factory,
+                                                              tmp_path):
+        owner, reader = client_factory(), client_factory()
+        stream = create_stream(owner, StreamKind.FILE, alias="doomed",
+                               base_dir=str(tmp_path), register_producer=True)
+        view = attach(reader, stream.handle)
+        outcome = []
+
+        def poll():
+            try:
+                view.poll(timeout_ms=20_000)
+            except UnknownStream:
+                outcome.append(time.monotonic())
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        time.sleep(0.2)  # the poll is parked
+        deleted_at = time.monotonic()
+        stream.delete()
+        poller.join(5)
+        assert outcome and outcome[0] - deleted_at < 1.0
+        assert stream.id not in server.registry.snapshot()
+        assert stream.id not in server.monitor._states
+        with pytest.raises(UnknownTopic):
+            server.broker.stats(stream.id)
+        for request in (stream.get_metadata, stream.close, stream.delete, view.poll,
+                        lambda: owner.add_producer(stream.id, "late"),
+                        lambda: owner.publish(stream.id, "late", [b"x"])):
+            with pytest.raises(UnknownStream):
+                request()
+        again = create_stream(owner, StreamKind.FILE, alias="doomed", base_dir=str(tmp_path))
+        assert again.id != stream.id
+        assert server.registry.registered_total == 2
+        assert server.registry.live_entries() == 1
 
 class TestMetadata:
     def test_metadata_roundtrip(self, client):

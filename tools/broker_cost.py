@@ -1,4 +1,5 @@
-"""In-process cost of Broker.append and Broker.poll, per delivery mode and batch size.
+"""In-process cost of Broker.append and Broker.poll, per delivery mode and batch size,
+and the memory a drained at-least-once log still holds.
 
 Each sample times `calls` operations on a fresh broker and divides by their
 number: appends of a 64-byte record, or polls by one consumer that each take
@@ -11,7 +12,12 @@ weighs on every configuration alike. Each row is printed as one JSON object:
     {layer, metric, value, unit, params, reps, spread}
 
 where `value` is the median cost of one call and `spread` the distance
-between its quartiles over the median. No gate is applied.
+between its quartiles over the median. Two more rows per log size N come
+from an at-least-once run: N distinct 64-byte records appended in batches of
+100, each batch followed by one poll capped at 500 by the only group, until
+all are delivered. `retained_records` is what the log still holds then, and
+`traced_bytes_per_appended_record` the memory `tracemalloc` still traces
+after the run, over N. No gate is applied.
 
     PYTHONPATH=src python3 tools/broker_cost.py [--reps 50] [--calls 200]
 """
@@ -22,6 +28,7 @@ import json
 import statistics
 import sys
 import time
+import tracemalloc
 
 from hybridflow.broker import Broker
 from hybridflow.model import ConsumerMode
@@ -29,6 +36,8 @@ from hybridflow.model import ConsumerMode
 VALUE = b"x" * 64
 BATCHES = (1, 64)
 CONFIGS = [(None, None)] + [(mode, n) for mode in ConsumerMode for n in BATCHES]
+RETAINED_N = (10_000, 100_000)
+MEMORY_REPS = 3
 
 
 def sample_us(mode: ConsumerMode | None, max_records: int | None, calls: int) -> float:
@@ -51,6 +60,35 @@ def sample_us(mode: ConsumerMode | None, max_records: int | None, calls: int) ->
     return elapsed * 1e6 / calls
 
 
+def drained_log(n: int) -> tuple[int, int]:
+    """Records left and bytes still traced after an at-least-once run of n records."""
+    alo = ConsumerMode.AT_LEAST_ONCE
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        broker = Broker()
+        broker.create_topic("t")
+        delivered = 0
+        for start in range(0, n, 100):
+            for seq in range(start, min(start + 100, n)):
+                broker.append("t", seq.to_bytes(4, "big") + VALUE[4:])
+            delivered += len(broker.poll("t", "g", "c", alo, 500))
+        while delivered < n:
+            delivered += len(broker.poll("t", "g", "c", alo, 500))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return broker.stats("t").remaining, held
+
+
+def row(metric: str, values: list[float], unit: str, params: dict) -> str:
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return json.dumps({
+        "layer": "broker", "metric": metric, "value": round(median, 2), "unit": unit,
+        "params": params, "reps": len(values),
+        "spread": round((q3 - q1) / median, 3) if median else 0.0})
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=50, help="samples per configuration")
@@ -62,15 +100,18 @@ def main() -> int:
             i = (rep + k) % len(CONFIGS)
             samples[i].append(sample_us(*CONFIGS[i], args.calls))
     for (mode, max_records), times in zip(CONFIGS, samples):
-        q1, median, q3 = statistics.quantiles(times, n=4)
         if mode is None:
             metric, params = "append_us", {}
         else:
             metric, params = "poll_us", {"mode": mode.value, "max_records": max_records}
-        print(json.dumps({
-            "layer": "broker", "metric": metric, "value": round(median, 2), "unit": "us",
-            "params": {**params, "calls": args.calls},
-            "reps": args.reps, "spread": round((q3 - q1) / median, 3)}))
+        print(row(metric, times, "us", {**params, "calls": args.calls}))
+    for n in RETAINED_N:
+        runs = [drained_log(n) for _ in range(MEMORY_REPS)]
+        params = {"mode": ConsumerMode.AT_LEAST_ONCE.value, "records": n,
+                  "batch": 100, "max_records": 500}
+        print(row("retained_records", [r for r, _ in runs], "count", params))
+        print(row("traced_bytes_per_appended_record", [h / n for _, h in runs],
+                  "bytes", params))
     return 0
 
 
