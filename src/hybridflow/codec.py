@@ -7,7 +7,6 @@ top of these helpers.
 """
 from __future__ import annotations
 
-import io
 import pickle
 import struct
 
@@ -38,17 +37,14 @@ class PickleCodec:
 OBJECT_CODEC = PickleCodec()
 
 
-def write_block(buf: io.BytesIO, data: bytes) -> None:
-    buf.write(_LEN.pack(len(data)))
-    buf.write(data)
-
-
 def pack_blocks(blocks: list[bytes]) -> bytes:
-    buf = io.BytesIO()
-    buf.write(_LEN.pack(len(blocks)))
+    # one join copies each block once; a growing BytesIO copied a large
+    # batch again on each resize and once more in getvalue()
+    parts = [_LEN.pack(len(blocks))]
     for block in blocks:
-        write_block(buf, block)
-    return buf.getvalue()
+        parts.append(_LEN.pack(len(block)))
+        parts.append(block)
+    return b"".join(parts)
 
 
 def unpack_blocks(data: bytes) -> list[bytes]:

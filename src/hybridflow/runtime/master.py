@@ -70,12 +70,23 @@ class _LocalWorker:
         self.runtime._complete(outcome, self.worker_id)
 
 
+def _unlink_all(paths: list[str]) -> None:
+    for path in paths:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+
 class _RemoteWorker:
     """Link to a worker process speaking the TASK/TRESULT framing.
 
     Values above the staging threshold are written to the master's staging
     directory and travel as file references, the shared-filesystem analog of
-    bulk object transfer; small values stay inline in the frame.
+    bulk object transfer; small values stay inline in the frame. A task's
+    staged files are deleted once its result arrives or its worker is lost:
+    the worker reads its inputs before the method runs, and a retry stages
+    anew.
     """
 
     def __init__(self, worker_id: str, conn: protocol.Connection,
@@ -83,11 +94,16 @@ class _RemoteWorker:
         self.worker_id = worker_id
         self.conn = conn
         self.runtime = runtime
+        # task id -> paths staged for its current attempt on this worker;
+        # the scheduler thread adds, the reader thread removes
+        self._staged: dict[int, list[str]] = {}
+        self._staged_lock = threading.Lock()
 
     def _stage(self, payload: TaskPayload) -> TaskPayload:
         threshold = self.runtime.stage_threshold
         staging = self.runtime.staging_dir()
         staged: dict[int, object] = {}
+        paths: list[str] = []
         for idx, value in payload.values.items():
             if len(value) >= threshold:
                 task = self.runtime.graph.nodes.get(payload.task_id)
@@ -96,11 +112,21 @@ class _RemoteWorker:
                                     f"t{payload.task_id}a{attempt}-{idx}.bin")
                 with open(path, "wb") as fh:
                     fh.write(value)
+                paths.append(path)
                 staged[idx] = ("file", path)
             else:
                 staged[idx] = value
+        if paths:
+            # registered before the send, so the result cannot come first
+            with self._staged_lock:
+                self._staged[payload.task_id] = paths
         payload.values = staged
         return payload
+
+    def _unstage(self, task_id: int) -> None:
+        with self._staged_lock:
+            paths = self._staged.pop(task_id, ())
+        _unlink_all(paths)
 
     def submit(self, payload: TaskPayload) -> None:
         payload = self._stage(payload)
@@ -109,6 +135,7 @@ class _RemoteWorker:
         try:
             self.conn.send(frame)
         except OSError as exc:
+            self._unstage(payload.task_id)
             self.runtime._complete(TaskOutcome(
                 task_id=payload.task_id, ok=False,
                 error=f"worker {self.worker_id} unreachable: {exc}"),
@@ -123,8 +150,13 @@ class _RemoteWorker:
             if frame is None:
                 break
             if frame.verb == "TRESULT":
-                self.runtime._complete(TaskOutcome.from_wire(frame.payload),
-                                       self.worker_id)
+                outcome = TaskOutcome.from_wire(frame.payload)
+                self._unstage(outcome.task_id)
+                self.runtime._complete(outcome, self.worker_id)
+        with self._staged_lock:
+            left, self._staged = self._staged, {}
+        for paths in left.values():
+            _unlink_all(paths)
         self.runtime._worker_lost(self.worker_id)
 
 

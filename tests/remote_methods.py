@@ -11,6 +11,11 @@ def checksum_blob(blob, out):
     return hashlib.sha256(blob).hexdigest()
 
 
+def hold_blob(blob, out):
+    time.sleep(30)
+    return len(blob)
+
+
 def slow_echo(x, out):
     time.sleep(0.05)
     return x

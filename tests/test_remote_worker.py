@@ -53,6 +53,51 @@ def test_remote_value_transfer_integrity(remote_runtime):
     assert remote_runtime.wait_on("digest", timeout_s=20) == hashlib.sha256(blob).hexdigest()
 
 
+def _staged_files(rt):
+    return os.listdir(rt.staging_dir())
+
+
+def test_staged_inputs_deleted_when_results_arrive(remote_runtime):
+    import hashlib
+    blob = os.urandom(1 << 18)  # above the 64 KiB staging threshold
+    remote_runtime.put("big", blob)
+    for i in range(6):
+        remote_runtime.submit("remote_methods:checksum_blob",
+                              [obj_in("big"), obj_out(f"d{i}")])
+    assert remote_runtime.barrier(timeout_s=20)
+    digest = hashlib.sha256(blob).hexdigest()
+    assert [remote_runtime.wait_on(f"d{i}") for i in range(6)] == [digest] * 6
+    # every task got a file of its own, and each went with its result
+    assert _staged_files(remote_runtime) == []
+
+
+def test_staged_inputs_deleted_when_the_worker_is_lost():
+    rt = Runtime()
+    host, port = rt.start_listening()
+    proc = spawn_worker(host, port)
+    try:
+        rt.wait_for_workers(1, timeout_s=20)
+        rt.put("big", os.urandom(1 << 18))
+        task_id = rt.submit("remote_methods:hold_blob", [obj_in("big"), obj_out("r")])
+        deadline = time.monotonic() + 20
+        while rt.task(task_id).state.value != "RUNNING" or not _staged_files(rt):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait(timeout=5)
+        # the lost worker's task is sent back for retry, with nowhere to run
+        deadline = time.monotonic() + 10
+        while _staged_files(rt):
+            assert time.monotonic() < deadline, _staged_files(rt)
+            time.sleep(0.01)
+        assert rt.task(task_id).state.value == "READY"
+    finally:
+        rt.shutdown()
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=5)
+
+
 def test_remote_parallel_tasks(remote_runtime):
     t0 = time.monotonic()
     for i in range(2):

@@ -8,7 +8,7 @@ import pytest
 
 from hybridflow import protocol
 from hybridflow.client import DistroStreamClient
-from hybridflow.codec import pack_blocks
+from hybridflow.codec import pack_blocks, unpack_blocks
 from hybridflow.errors import ProtocolError, ServerUnreachable
 from hybridflow.model import StreamKind
 from hybridflow.streams import create_stream
@@ -55,6 +55,20 @@ class TestFraming:
     def test_element_batch_roundtrip(self):
         batch = [(1700000000000, b"alpha"), (1700000000001, b"")]
         assert protocol.unpack_elements(protocol.pack_elements(batch)) == batch
+
+    def test_element_batch_layout(self):
+        # count, then per element an 8-byte publish time and a 4-byte length
+        assert protocol.pack_elements([(2, b"ab"), (3, b"")]) == (
+            b"\x00\x00\x00\x02"
+            b"\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x02ab"
+            b"\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00")
+        assert protocol.pack_elements([]) == b"\x00\x00\x00\x00"
+
+    def test_block_batch_layout(self):
+        blocks = [b"ab", b"", b"x" * 70000]
+        packed = pack_blocks(blocks)
+        assert packed[:14] == b"\x00\x00\x00\x03\x00\x00\x00\x02ab\x00\x00\x00\x00"
+        assert unpack_blocks(packed) == blocks
 
 
 class _ByeOnlyPeer:
