@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DuplicateTopic, UnknownGroup, UnknownTopic
@@ -108,6 +109,20 @@ class _Topic:
         if group is None:
             group = self.groups[group_id] = _Group(self.low)
         return group
+
+    def unfinished(self, group_id: str) -> Iterator[int]:
+        """Offsets the group has not finished, leased ones first; caller holds the lock."""
+        records = self.records
+        group = self.groups.get(group_id)
+        if group is None:
+            yield from records
+            return
+        group.reap_expired()
+        for lease in group.leases.values():
+            yield from lease.offsets
+        yield from (off for off in group.redeliver if off in records)
+        # fresh: only offsets past the cursor
+        yield from (off for off in range(group.cursor, self.next_offset) if off in records)
 
     def retain(self) -> None:
         """Delete what every group has committed past; caller holds the lock."""
@@ -282,13 +297,10 @@ class Broker:
         """Records the group has not finished: fresh, redeliverable or leased."""
         t = self._topic(topic)
         with t.lock:
-            records = t.records
-            group = t.groups.get(group_id)
-            if group is None:
-                return len(records)
-            group.reap_expired()
-            total = sum(len(lease.offsets) for lease in group.leases.values())
-            # fresh: only offsets past the cursor
-            total += sum(1 for off in range(group.cursor, t.next_offset) if off in records)
-            total += sum(1 for off in group.redeliver if off in records)
-            return total
+            return sum(1 for _ in t.unfinished(group_id))
+
+    def drained(self, topic: str, group_id: str) -> bool:
+        """Whether pending() is 0, found by stopping at the first unfinished record."""
+        t = self._topic(topic)
+        with t.lock:
+            return next(t.unfinished(group_id), None) is None

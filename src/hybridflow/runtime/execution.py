@@ -87,7 +87,9 @@ def run_task(payload: TaskPayload, resolver: Callable[[str], Callable],
 
     STREAM OUT parameters acquire a producer grant before the method runs so
     the method's close() takes effect; a failing method has those grants
-    revoked so a retry does not leave the stream permanently open.
+    revoked so a retry does not leave the stream permanently open. Anything
+    the task raises, SystemExit included, becomes a failed outcome: the slot
+    thread that runs it must report and go on serving.
     """
     granted: list[DistroStream] = []
     try:
@@ -131,7 +133,7 @@ def run_task(payload: TaskPayload, resolver: Callable[[str], Callable],
             for idx, value in zip(out_indices, results):
                 outs[idx] = OBJECT_CODEC.encode(value)
         return TaskOutcome(task_id=payload.task_id, ok=True, outs=outs)
-    except Exception:  # noqa: BLE001 - outcome carries the traceback
+    except BaseException:  # noqa: BLE001 - outcome carries the traceback
         for stream in granted:
             try:
                 stream._client.revoke_producer(stream.id, stream._token)

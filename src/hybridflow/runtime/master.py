@@ -8,12 +8,19 @@ producer priority and locality, and dispatches. Dispatch performs the
 input staging (value encoding and, for remote workers, the socket send) in
 that one thread, mirroring a master that funnels every transfer through its
 own I/O path; execution itself is concurrent across workers and slots.
+
+Every executor runs tasks on long-lived slot threads, one per core: a local
+slot's threads live in this process and take payloads from a queue, a remote
+worker process keeps its own (see worker.py). No thread is started per task.
+A task that raises, even SystemExit, fails and is retried once like any
+failed task; its slot thread reports the failure and goes on serving.
 """
 from __future__ import annotations
 
 import contextvars
 import csv
 import os
+import queue
 import shutil
 import socket
 import statistics
@@ -48,26 +55,41 @@ def current_runtime() -> "Runtime":
 
 
 class _LocalWorker:
-    """In-process executor: one thread per dispatched task, shared client."""
+    """In-process executor: one long-lived slot thread per core, shared client.
 
-    def __init__(self, worker_id: str, runtime: "Runtime") -> None:
+    The slot threads take payloads from one queue. The scheduler never
+    dispatches past the slot's free cores, so a dispatched task never waits
+    behind another. stop() ends each thread once the tasks queued before it
+    have run.
+    """
+
+    def __init__(self, worker_id: str, runtime: "Runtime", cores: int) -> None:
         self.worker_id = worker_id
         self.runtime = runtime
+        self._tasks: queue.SimpleQueue[TaskPayload | None] = queue.SimpleQueue()
+        self._threads = [threading.Thread(target=self._serve, name=f"{worker_id}-s{i}",
+                                         daemon=True)
+                        for i in range(cores)]
+        for thread in self._threads:
+            thread.start()
 
     def submit(self, payload: TaskPayload) -> None:
-        threading.Thread(target=self._run, args=(payload,),
-                         name=f"{self.worker_id}-t{payload.task_id}",
-                         daemon=True).start()
+        self._tasks.put(payload)
 
-    def _run(self, payload: TaskPayload) -> None:
-        token = _current_runtime.set(self.runtime)
-        try:
-            outcome = run_task(payload, self.runtime._resolve,
-                               self.runtime.stream_client,
-                               self.runtime.app_group)
-        finally:
-            _current_runtime.reset(token)
-        self.runtime._complete(outcome, self.worker_id)
+    def stop(self) -> None:
+        for _ in self._threads:
+            self._tasks.put(None)
+
+    def _serve(self) -> None:
+        runtime = self.runtime
+        while (payload := self._tasks.get()) is not None:
+            token = _current_runtime.set(runtime)
+            try:
+                outcome = run_task(payload, runtime._resolve, runtime.stream_client,
+                                   runtime.app_group)
+            finally:
+                _current_runtime.reset(token)
+            runtime._complete(outcome, self.worker_id)
 
 
 def _unlink_all(paths: list[str]) -> None:
@@ -197,7 +219,7 @@ class Runtime:
             worker_id = f"local-{idx}"
             self._resources[worker_id] = ResourceState(
                 worker_id=worker_id, total_cores=cores, free_cores=cores)
-            self._executors[worker_id] = _LocalWorker(worker_id, self)
+            self._executors[worker_id] = _LocalWorker(worker_id, self, cores)
         self._scheduler = threading.Thread(target=self._loop, name="hf-scheduler",
                                            daemon=True)
         self._scheduler.start()
@@ -481,7 +503,9 @@ class Runtime:
             except OSError:
                 pass
         for executor in list(self._executors.values()):
-            if isinstance(executor, _RemoteWorker):
+            if isinstance(executor, _LocalWorker):
+                executor.stop()
+            else:
                 try:
                     executor.conn.send(protocol.Frame(verb="WSTOP", corr_id="0"))
                 except OSError:

@@ -1,9 +1,17 @@
-"""Worker process: joins a master, executes dispatched tasks on its slots."""
+"""Worker process: joins a master, executes dispatched tasks on its slots.
+
+The process runs one long-lived slot thread per core. The receive loop only
+queues each TASK payload; a free slot thread takes it, runs it and sends its
+TRESULT. The master never dispatches past the worker's free cores, so a task
+never waits behind another for a slot thread. A slot outlives every task it
+runs: whatever a task raises becomes a failed result.
+"""
 from __future__ import annotations
 
 import argparse
 import importlib
 import os
+import queue
 import socket
 import sys
 import threading
@@ -40,6 +48,12 @@ class WorkerProcess:
 
     def run(self) -> None:
         """Receive TASK frames until the master disconnects or sends WSTOP."""
+        tasks: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        slots = [threading.Thread(target=self._serve, args=(tasks,),
+                                  name=f"slot-{i}", daemon=True)
+                 for i in range(self.cores)]
+        for slot in slots:
+            slot.start()
         while True:
             try:
                 frame = self.conn.recv()
@@ -47,19 +61,20 @@ class WorkerProcess:
                 break
             if frame is None or frame.verb == "WSTOP":
                 break
-            if frame.verb != "TASK":
-                continue
-            payload = TaskPayload.from_wire(frame.payload)
-            threading.Thread(target=self._execute, args=(payload,),
-                             name=f"slot-t{payload.task_id}", daemon=True).start()
+            if frame.verb == "TASK":
+                tasks.put(frame.payload)
+        for _ in slots:
+            tasks.put(None)
         if self.stream_client is not None:
             self.stream_client.close()
         self.conn.close()
 
-    def _execute(self, payload: TaskPayload) -> None:
-        outcome = run_task(payload, registry.resolve, self.stream_client,
-                           self.app_group)
-        self._send_result(outcome)
+    def _serve(self, tasks: queue.SimpleQueue[bytes | None]) -> None:
+        """One slot: run queued payloads in turn until the stop sentinel."""
+        while (wire := tasks.get()) is not None:
+            outcome = run_task(TaskPayload.from_wire(wire), registry.resolve,
+                               self.stream_client, self.app_group)
+            self._send_result(outcome)
 
     def _send_result(self, outcome: TaskOutcome) -> None:
         try:

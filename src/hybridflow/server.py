@@ -447,7 +447,7 @@ class StreamServer:
                 return protocol.err(frame.corr_id, "ServerUnreachable", "connection dropped")
             closed = entry.closed
             records = self.broker.poll(stream_id, group, token, mode, max_records)
-            drained = closed and self.broker.pending(stream_id, group) == 0
+            drained = closed and self.broker.drained(stream_id, group)
             if not (records or drained or self._stop.is_set()
                     or time.monotonic() >= deadline):
                 return None

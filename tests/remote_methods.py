@@ -1,5 +1,6 @@
 """Task methods importable by worker subprocesses in the remote tests."""
 import hashlib
+import threading
 import time
 
 
@@ -19,6 +20,10 @@ def hold_blob(blob, out):
 def slow_echo(x, out):
     time.sleep(0.05)
     return x
+
+
+def thread_name(i, out):
+    return threading.current_thread().name
 
 
 def publish_then_close(stream, n):

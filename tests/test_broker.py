@@ -22,6 +22,16 @@ def make_broker(**kw) -> Broker:
     return Broker(**kw)
 
 
+class _CountingRecords(dict):
+    """A topic's record dict that counts membership tests."""
+
+    contains = 0
+
+    def __contains__(self, key):
+        self.contains += 1
+        return super().__contains__(key)
+
+
 class TestTopics:
     def test_create_single_partition(self):
         b = make_broker()
@@ -210,6 +220,29 @@ class TestPendingAndWait:
         assert len(b.poll("t", "g", "c1", ALO)) == 1  # commits the first two
         assert b.pending("t", "g") == 1
         assert b.poll("t", "g", "c1", ALO) == []
+        assert b.pending("t", "g") == 0
+
+    @pytest.mark.parametrize("mode", [EO, ALO])
+    def test_drained_check_stops_at_the_first_unfinished_record(self, mode):
+        # a closed stream's POLLREQ asks after every poll whether the group is
+        # drained; walking the whole backlog there made draining quadratic
+        b = make_broker()
+        b.create_topic("t")
+        for _ in range(50_000):
+            b.append("t", b"v")
+        topic = b._topics["t"]
+        topic.records = records = _CountingRecords(topic.records)
+        lookups = []
+        while True:
+            b.poll("t", "g", "c", mode, max_records=500)
+            records.contains = 0
+            drained = b.drained("t", "g")
+            lookups.append(records.contains)
+            if drained:
+                break
+        # the 100th poll takes the last batch; at least once holds it one poll more
+        assert len(lookups) == (100 if mode is EO else 101)
+        assert max(lookups) <= 1, max(lookups)
         assert b.pending("t", "g") == 0
 
     def test_change_before_wait_is_not_lost(self):

@@ -118,3 +118,43 @@ def test_remote_stream_pipeline(remote_runtime, client_factory):
     remote_runtime.submit("remote_methods:drain_stream",
                           [stream_in(s.handle), obj_out("seen")])
     assert remote_runtime.wait_on("seen", timeout_s=25) == [f"m{i}" for i in range(5)]
+
+
+@pytest.fixture
+def two_core_worker(server, client_factory):
+    """A runtime whose only worker is one process with two cores."""
+    rt = Runtime(stream_client=client_factory(group="remote-app"))
+    host, port = rt.start_listening()
+    proc = spawn_worker(host, port, cores=2)
+    try:
+        rt.wait_for_workers(1, timeout_s=20)
+        yield rt
+    finally:
+        rt.shutdown()
+        try:
+            proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=5)
+
+
+def test_remote_tasks_share_one_thread_per_core(two_core_worker):
+    rt = two_core_worker
+    for i in range(30):
+        rt.put(f"i{i}", i)
+        rt.submit("remote_methods:thread_name", [obj_in(f"i{i}"), obj_out(f"n{i}")])
+    assert rt.barrier(timeout_s=30) is True
+    names = {rt.wait_on(f"n{i}") for i in range(30)}
+    assert 1 <= len(names) <= 2, names
+
+
+def test_producer_and_consumer_share_one_worker(two_core_worker, client_factory):
+    # the consumer holds one slot thread while it drains, the producer needs the other
+    client = client_factory(group="remote-app")
+    s = create_stream(client, StreamKind.OBJECT, alias="one-worker-pipe")
+    rt = two_core_worker
+    rt.put("n", 5)
+    rt.submit("remote_methods:drain_stream", [stream_in(s.handle), obj_out("seen")])
+    rt.submit("remote_methods:publish_then_close", [stream_out(s.handle), obj_in("n")])
+    assert rt.wait_on("seen", timeout_s=25) == [f"m{i}" for i in range(5)]
+    assert rt.barrier(timeout_s=10) is True

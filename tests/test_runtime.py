@@ -1,5 +1,6 @@
 """Task runtime: dependency analysis, scheduling rules, execution, sync API."""
 import random
+import sys
 import threading
 import time
 
@@ -458,6 +459,93 @@ class TestExecution:
         runtime.barrier(timeout_s=10)
         assert t.timings.schedule_ms is not None
         assert t.timings.execution_ms >= 20.0
+
+
+class TestSlotThreads:
+    """Each local slot runs its tasks on long-lived threads, one per core."""
+
+    def test_tasks_share_one_thread_per_core(self):
+        rt = Runtime(local_slots=[2])
+        lock = threading.Lock()
+        running = {"now": 0, "most": 0}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            @rt.register_method
+            def name(i, out):
+                with lock:
+                    running["now"] += 1
+                    running["most"] = max(running["most"], running["now"])
+                time.sleep(0.001)
+                with lock:
+                    running["now"] -= 1
+                return i, threading.current_thread().name
+
+            for i in range(40):
+                rt.put(f"i{i}", i)
+                rt.submit("name", [obj_in(f"i{i}"), obj_out(f"n{i}")])
+            assert rt.barrier(timeout_s=20) is True
+            results = [rt.wait_on(f"n{i}") for i in range(40)]
+        finally:
+            sys.setswitchinterval(interval)
+            rt.shutdown()
+        assert [i for i, _ in results] == list(range(40))
+        names = {name for _, name in results}
+        assert 1 <= len(names) <= 2, names
+        assert running["most"] <= 2
+
+    def test_shutdown_stops_the_slot_threads(self):
+        before = set(threading.enumerate())
+        rt = Runtime(local_slots=[2, 1])
+
+        @rt.register_method
+        def one(out):
+            return 1
+
+        rt.submit("one", [obj_out("x")])
+        assert rt.wait_on("x", timeout_s=10) == 1
+        slots = [t for t in set(threading.enumerate()) - before
+                 if t.name.startswith("local-")]
+        assert len(slots) == 3  # idle, but alive until shutdown
+        rt.shutdown()
+        deadline = time.monotonic() + 1.0
+        for thread in slots:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert [t.name for t in slots if t.is_alive()] == []
+
+    def test_system_exit_fails_the_task_and_keeps_the_slot(self):
+        rt = Runtime(local_slots=[1])
+        try:
+            ran = []
+
+            @rt.register_method
+            def leave(out):
+                ran.append(threading.current_thread())
+                raise SystemExit(3)
+
+            @rt.register_method
+            def dependent(x, out):
+                return x
+
+            @rt.register_method
+            def after(out):
+                ran.append(threading.current_thread())
+                return "still serving"
+
+            t1 = rt.submit("leave", [obj_out("gone")])
+            t2 = rt.submit("dependent", [obj_in("gone"), obj_out("never")])
+            with pytest.raises(ExecutionFailure, match="SystemExit"):
+                rt.wait_on("gone", timeout_s=10)
+            assert rt.task(t1).state is TaskState.FAILED
+            assert rt.task(t1).attempts == 1  # failed again on its retry
+            # the dependent never settles, so the barrier runs out
+            assert rt.barrier(timeout_s=1) is False
+            assert rt.task(t2).state in (TaskState.REGISTERED, TaskState.READY)
+            rt.submit("after", [obj_out("later")])
+            assert rt.wait_on("later", timeout_s=10) == "still serving"
+            assert len(ran) == 3 and len(set(ran)) == 1
+        finally:
+            rt.shutdown()
 
 
 class TestStreamTasks:
