@@ -27,6 +27,7 @@ import statistics
 import tempfile
 import threading
 import time
+import traceback
 from typing import Callable
 
 from .. import protocol
@@ -59,15 +60,18 @@ class _LocalWorker:
 
     The slot threads take payloads from one queue. The scheduler never
     dispatches past the slot's free cores, so a dispatched task never waits
-    behind another. stop() ends each thread once the tasks queued before it
-    have run.
+    behind another. Each task runs in a fresh contextvars context, as it would
+    on a thread of its own; thread-local state does persist from one task to
+    the next on the same thread. stop() ends each thread once the tasks queued
+    before it have run.
     """
 
     def __init__(self, worker_id: str, runtime: "Runtime", cores: int) -> None:
         self.worker_id = worker_id
         self.runtime = runtime
         self._tasks: queue.SimpleQueue[TaskPayload | None] = queue.SimpleQueue()
-        self._threads = [threading.Thread(target=self._serve, name=f"{worker_id}-s{i}",
+        # "<worker id>-t<n>": the part before "-t" names the worker
+        self._threads = [threading.Thread(target=self._serve, name=f"{worker_id}-t{i}",
                                          daemon=True)
                         for i in range(cores)]
         for thread in self._threads:
@@ -81,15 +85,20 @@ class _LocalWorker:
             self._tasks.put(None)
 
     def _serve(self) -> None:
-        runtime = self.runtime
         while (payload := self._tasks.get()) is not None:
-            token = _current_runtime.set(runtime)
+            outcome = contextvars.Context().run(self._run_one, payload)
             try:
-                outcome = run_task(payload, runtime._resolve, runtime.stream_client,
-                                   runtime.app_group)
-            finally:
-                _current_runtime.reset(token)
-            runtime._complete(outcome, self.worker_id)
+                self.runtime._complete(outcome, self.worker_id)
+            except Exception:
+                # the one task is lost; the thread, and with it the core,
+                # goes on serving
+                traceback.print_exc()
+
+    def _run_one(self, payload: TaskPayload) -> TaskOutcome:
+        runtime = self.runtime
+        _current_runtime.set(runtime)
+        return run_task(payload, runtime._resolve, runtime.stream_client,
+                        runtime.app_group)
 
 
 def _unlink_all(paths: list[str]) -> None:

@@ -1,14 +1,15 @@
 """Worker process: joins a master, executes dispatched tasks on its slots.
 
 The process runs one long-lived slot thread per core. The receive loop only
-queues each TASK payload; a free slot thread takes it, runs it and sends its
-TRESULT. The master never dispatches past the worker's free cores, so a task
-never waits behind another for a slot thread. A slot outlives every task it
-runs: whatever a task raises becomes a failed result.
+decodes and queues each TASK payload; a free slot thread takes it, runs it and
+sends its TRESULT. The master never dispatches past the worker's free cores,
+so a task never waits behind another for a slot thread. A slot outlives every
+task it runs: whatever a task raises becomes a failed result.
 """
 from __future__ import annotations
 
 import argparse
+import contextvars
 import importlib
 import os
 import queue
@@ -48,32 +49,40 @@ class WorkerProcess:
 
     def run(self) -> None:
         """Receive TASK frames until the master disconnects or sends WSTOP."""
-        tasks: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        tasks: queue.SimpleQueue[TaskPayload | None] = queue.SimpleQueue()
         slots = [threading.Thread(target=self._serve, args=(tasks,),
                                   name=f"slot-{i}", daemon=True)
                  for i in range(self.cores)]
         for slot in slots:
             slot.start()
-        while True:
-            try:
-                frame = self.conn.recv()
-            except (ProtocolError, OSError):
-                break
-            if frame is None or frame.verb == "WSTOP":
-                break
-            if frame.verb == "TASK":
-                tasks.put(frame.payload)
-        for _ in slots:
-            tasks.put(None)
-        if self.stream_client is not None:
-            self.stream_client.close()
-        self.conn.close()
+        try:
+            while True:
+                try:
+                    frame = self.conn.recv()
+                except (ProtocolError, OSError):
+                    break
+                if frame is None or frame.verb == "WSTOP":
+                    break
+                if frame.verb == "TASK":
+                    # a frame that does not decode ends the worker here: the
+                    # master sees the connection close and retries the task
+                    tasks.put(TaskPayload.from_wire(frame.payload))
+        finally:
+            for _ in slots:
+                tasks.put(None)
+            if self.stream_client is not None:
+                self.stream_client.close()
+            self.conn.close()
 
-    def _serve(self, tasks: queue.SimpleQueue[bytes | None]) -> None:
-        """One slot: run queued payloads in turn until the stop sentinel."""
-        while (wire := tasks.get()) is not None:
-            outcome = run_task(TaskPayload.from_wire(wire), registry.resolve,
-                               self.stream_client, self.app_group)
+    def _serve(self, tasks: queue.SimpleQueue[TaskPayload | None]) -> None:
+        """One slot: run queued tasks in turn until the stop sentinel.
+
+        Each task runs in a fresh contextvars context, as it would on a thread
+        of its own; thread-local state persists across tasks on the slot.
+        """
+        while (payload := tasks.get()) is not None:
+            outcome = contextvars.Context().run(
+                run_task, payload, registry.resolve, self.stream_client, self.app_group)
             self._send_result(outcome)
 
     def _send_result(self, outcome: TaskOutcome) -> None:

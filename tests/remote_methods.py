@@ -1,4 +1,5 @@
 """Task methods importable by worker subprocesses in the remote tests."""
+import contextvars
 import hashlib
 import threading
 import time
@@ -24,6 +25,16 @@ def slow_echo(x, out):
 
 def thread_name(i, out):
     return threading.current_thread().name
+
+
+_mark: contextvars.ContextVar[str] = contextvars.ContextVar("mark", default="unset")
+
+
+def context_mark(i, out):
+    """The mark an earlier task left in this context, then leave one."""
+    seen = _mark.get()
+    _mark.set(f"task {i}")
+    return seen
 
 
 def publish_then_close(stream, n):

@@ -1,13 +1,18 @@
 """Master/worker over the wire: worker processes join, run tasks, use streams."""
 import os
+import pickle
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from hybridflow import protocol
 from hybridflow.model import StreamKind
 from hybridflow.runtime import Runtime, obj_in, obj_out, stream_in, stream_out
+from hybridflow.runtime.worker import WorkerProcess
 from hybridflow.streams import create_stream
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -148,6 +153,14 @@ def test_remote_tasks_share_one_thread_per_core(two_core_worker):
     assert 1 <= len(names) <= 2, names
 
 
+def test_remote_tasks_start_with_a_fresh_context(two_core_worker):
+    rt = two_core_worker
+    for i in range(10):
+        rt.put(f"i{i}", i)
+        rt.submit("remote_methods:context_mark", [obj_in(f"i{i}"), obj_out(f"m{i}")])
+    assert [rt.wait_on(f"m{i}", timeout_s=20) for i in range(10)] == ["unset"] * 10
+
+
 def test_producer_and_consumer_share_one_worker(two_core_worker, client_factory):
     # the consumer holds one slot thread while it drains, the producer needs the other
     client = client_factory(group="remote-app")
@@ -158,3 +171,36 @@ def test_producer_and_consumer_share_one_worker(two_core_worker, client_factory)
     rt.submit("remote_methods:publish_then_close", [stream_out(s.handle), obj_in("n")])
     assert rt.wait_on("seen", timeout_s=25) == [f"m{i}" for i in range(5)]
     assert rt.barrier(timeout_s=10) is True
+
+
+def test_undecodable_task_closes_the_worker_connection():
+    # the master retries the tasks of a worker whose connection ends; a slot
+    # thread dying on the frame instead would hold a core that never reports
+    listener = socket.create_server(("127.0.0.1", 0))
+    host, port = listener.getsockname()[:2]
+    after = []
+
+    def master():
+        sock, _ = listener.accept()
+        sock.settimeout(5)
+        conn = protocol.Connection(sock)
+        hello = conn.recv()
+        conn.send(protocol.ok(hello.corr_id, ["", "", ""]))
+        conn.send(protocol.Frame(verb="TASK", fields=["1"], corr_id="0",
+                                 payload=b"\x00not a task"))
+        try:
+            after.append(conn.recv())
+        except TimeoutError:
+            after.append("worker still connected")
+        conn.close()
+
+    fake = threading.Thread(target=master, daemon=True)
+    fake.start()
+    try:
+        worker = WorkerProcess(host, port, cores=2)
+        with pytest.raises(pickle.UnpicklingError):
+            worker.run()
+        fake.join(timeout=5)
+    finally:
+        listener.close()
+    assert after == [None]  # end of stream, no TRESULT

@@ -1,4 +1,5 @@
 """Task runtime: dependency analysis, scheduling rules, execution, sync API."""
+import contextvars
 import random
 import sys
 import threading
@@ -546,6 +547,50 @@ class TestSlotThreads:
             assert len(ran) == 3 and len(set(ran)) == 1
         finally:
             rt.shutdown()
+
+    def test_each_task_starts_with_a_fresh_context(self):
+        rt = Runtime(local_slots=[1])
+        mark: contextvars.ContextVar[str] = contextvars.ContextVar("mark", default="unset")
+        try:
+            @rt.register_method
+            def stamp(i, out):
+                seen = mark.get()
+                mark.set(f"task {i}")
+                return seen, threading.current_thread().name
+
+            for i in range(3):
+                rt.put(f"i{i}", i)
+                rt.submit("stamp", [obj_in(f"i{i}"), obj_out(f"s{i}")])
+            results = [rt.wait_on(f"s{i}", timeout_s=10) for i in range(3)]
+        finally:
+            rt.shutdown()
+        assert len({name for _, name in results}) == 1  # one slot thread ran all three
+        assert [seen for seen, _ in results] == ["unset"] * 3
+
+    def test_slot_survives_an_error_after_the_task(self, monkeypatch, capsys):
+        rt = Runtime(local_slots=[1])
+        real_complete = rt._complete
+        calls = []
+
+        def complete_then_fail_once(outcome, worker_id):
+            real_complete(outcome, worker_id)
+            calls.append(outcome.task_id)
+            if len(calls) == 1:
+                raise RuntimeError("bookkeeping broke")
+
+        monkeypatch.setattr(rt, "_complete", complete_then_fail_once)
+        try:
+            @rt.register_method
+            def name(out):
+                return threading.current_thread().name
+
+            rt.submit("name", [obj_out("a")])
+            first = rt.wait_on("a", timeout_s=10)
+            rt.submit("name", [obj_out("b")])
+            assert rt.wait_on("b", timeout_s=10) == first
+        finally:
+            rt.shutdown()
+        assert "bookkeeping broke" in capsys.readouterr().err
 
 
 class TestStreamTasks:
