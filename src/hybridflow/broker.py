@@ -1,9 +1,13 @@
 """In-process append-only log with consumer groups and deletion.
 
 Topics are named after stream ids; each topic is one log whose records carry
-a strictly sequential offset that survives deletion. A consumer group tracks
-a committed frontier over the log: every offset below it the group has
-finished or can never receive. Broker.poll is the only consume path:
+a strictly sequential offset that survives deletion. Broker.append takes a
+batch: one call is one hold of the topic lock, one publish time shared by its
+records and one wake of the topic's waiters. The stream server checks every
+payload of a PUBREQ first and then appends them with one call, so a request
+is appended whole or not at all. A consumer group tracks a committed frontier
+over the log: every offset below it the group has finished or can never
+receive. Broker.poll is the only consume path:
 EXACTLY_ONCE and AT_MOST_ONCE delete what they deliver, while AT_LEAST_ONCE
 leases each batch until the consumer's next poll commits it, so a member that
 dies in between has its batch redelivered. A poll hands out redeliveries
@@ -167,16 +171,25 @@ class Broker:
 
     # -- producer side --
 
-    def append(self, topic: str, value: bytes) -> int:
-        """Append one record to the end of the log; returns its offset."""
+    def append(self, topic: str, *values: bytes) -> int:
+        """Append the values to the end of the log; returns the first one's offset.
+
+        One call is one hold of the topic lock, one publish time and one wake,
+        however many values it carries. Appending none changes nothing.
+        """
         t = self._topic(topic)
         with t.lock:
-            offset = t.next_offset
-            t.records[offset] = LogRecord(value=value, offset=offset,
-                                          publish_time=_now_ms())
-            t.next_offset = offset + 1
+            first = offset = t.next_offset
+            if not values:
+                return first
+            now = _now_ms()
+            records = t.records
+            for value in values:
+                records[offset] = LogRecord(value, offset, now)
+                offset += 1
+            t.next_offset = offset
             t.bump()
-            return offset
+            return first
 
     # -- consumer side --
 

@@ -48,13 +48,12 @@ def pack_blocks(blocks: list[bytes]) -> bytes:
 
 
 def unpack_blocks(data: bytes) -> list[bytes]:
-    view = memoryview(data)
-    (count,) = _LEN.unpack_from(view, 0)
+    (count,) = _LEN.unpack_from(data, 0)
     pos = 4
     blocks: list[bytes] = []
     for _ in range(count):
-        (size,) = _LEN.unpack_from(view, pos)
+        (size,) = _LEN.unpack_from(data, pos)
         pos += 4
-        blocks.append(bytes(view[pos:pos + size]))
+        blocks.append(data[pos:pos + size])
         pos += size
     return blocks

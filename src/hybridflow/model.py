@@ -61,7 +61,10 @@ class StreamElement:
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """Record inside a topic's log; its offset is never reused."""
+    """Record inside a topic's log; its offset is never reused.
+
+    The records of one append call, and so of one PUBREQ, share a publish_time.
+    """
 
     value: bytes
     offset: int

@@ -135,15 +135,12 @@ def pack_elements(records: list[tuple[int, bytes]]) -> bytes:
 
 
 def unpack_elements(data: bytes) -> list[tuple[int, bytes]]:
-    view = memoryview(data)
-    (count,) = _LEN.unpack_from(view, 0)
+    (count,) = _LEN.unpack_from(data, 0)
     pos = 4
     out = []
     for _ in range(count):
-        (ts,) = struct.unpack_from(">Q", view, pos)
-        pos += 8
-        (size,) = _LEN.unpack_from(view, pos)
-        pos += 4
-        out.append((ts, bytes(view[pos:pos + size])))
+        ts, size = _ELEM.unpack_from(data, pos)
+        pos += _ELEM.size
+        out.append((ts, data[pos:pos + size]))
         pos += size
     return out

@@ -424,10 +424,9 @@ class StreamServer:
                 if conn in self._conns:
                     self._conns[conn].add((stream_id, token))
         payloads = unpack_blocks(frame.payload)
-        for value in payloads:
-            if not value:
-                raise BackendError("empty payloads are not allowed")
-            self.broker.append(stream_id, value)
+        if not all(payloads):  # checked first: a request is appended whole or not at all
+            raise BackendError("empty payloads are not allowed")
+        self.broker.append(stream_id, *payloads)
         self._log(frame, "published=%d", len(payloads))
         return protocol.ok(frame.corr_id, [str(len(payloads))])
 

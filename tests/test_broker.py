@@ -94,6 +94,28 @@ class TestAppend:
         assert [r.offset for r in recs] == [0]
         assert b.append("t", b"b") == 1
 
+    def test_batch_takes_consecutive_offsets_one_time_and_one_version(self):
+        b = make_broker()
+        b.create_topic("t")
+        b.append("t", b"a")
+        version = b.version("t")
+        assert b.append("t", b"b", b"c", b"d") == 1
+        assert b.version("t") == version + 1
+        recs = b.poll("t", "g", "c", EO)
+        assert [(r.offset, r.value) for r in recs] == [
+            (0, b"a"), (1, b"b"), (2, b"c"), (3, b"d")]
+        assert len({r.publish_time for r in recs[1:]}) == 1
+
+    def test_appending_nothing_changes_nothing(self):
+        b = make_broker()
+        b.create_topic("t")
+        b.append("t", b"a")
+        version = b.version("t")
+        assert b.append("t") == 1
+        assert b.version("t") == version
+        assert b.stats("t").appended == 1
+        assert b.append("t", b"b") == 1
+
 
 class TestFetchCommit:
     """What a poll hands out, to whom, and what a crash gives back."""
@@ -446,6 +468,14 @@ class BrokerMachine(RuleBasedStateMachine):
         assert self.broker.append("t", b"v%d" % self.appended) == self.appended
         self.live.add(self.appended)
         self.appended += 1
+
+    @rule(n=st.integers(min_value=1, max_value=5))
+    def append_batch(self, n):
+        first = self.appended
+        values = [b"v%d" % off for off in range(first, first + n)]
+        assert self.broker.append("t", *values) == first
+        self.live.update(range(first, first + n))
+        self.appended += n
 
     @initialize(modes=st.sampled_from([(EO, AMO, ALO), (ALO,)]))
     def choose_modes(self, modes):

@@ -193,6 +193,27 @@ class TestServerRobustness:
             assert not thread.is_alive()
         assert thread_errors == []
 
+    def test_pubreq_is_appended_whole_or_not_at_all(self, server):
+        raw = _RawClient(server.host, server.port)
+        stream_id = raw.call("REGISTER", ["OBJECT", "", "", "1", ""]).fields[0]
+        bad = raw.call("PUBREQ", [stream_id, "p#1"], pack_blocks([b"a", b"b", b"", b"c"]))
+        assert bad.verb == "ERR"
+        assert bad.fields[0] == "BackendError"
+        assert server.broker.stats(stream_id).appended == 0
+        polled = raw.call("POLLREQ", [stream_id, "c#1", "g", "EXACTLY_ONCE", "", "0"])
+        assert polled.verb == "OK", polled.fields
+        assert protocol.unpack_elements(polled.payload) == []
+        raw.close()
+
+    def test_empty_pubreq_answers_zero(self, server):
+        raw = _RawClient(server.host, server.port)
+        stream_id = raw.call("REGISTER", ["OBJECT", "", "", "1", ""]).fields[0]
+        version = server.broker.version(stream_id)
+        empty = raw.call("PUBREQ", [stream_id, "p#1"], pack_blocks([]))
+        assert (empty.verb, empty.fields) == ("OK", ["0"])
+        assert server.broker.version(stream_id) == version
+        raw.close()
+
     def test_malformed_frame_connection_survives(self, server):
         raw = _RawClient(server.host, server.port)
         missing = raw.call("REGISTER", [])

@@ -1,23 +1,26 @@
 """In-process cost of Broker.append and Broker.poll, per delivery mode and batch size,
 and the memory a drained at-least-once log still holds.
 
-Each sample times `calls` operations on a fresh broker and divides by their
-number: appends of a 64-byte record, or polls by one consumer that each take
-`max_records` records from a log filled beforehand (untimed). An
-at-least-once poll therefore commits the previous batch and leases the next
-one, as a consumer does in steady state. The configurations take one sample
-each in turn, in a rotating order, so that a slower spell of the machine
-weighs on every configuration alike. Each row is printed as one JSON object:
+Each sample times `calls` operations on a fresh broker. An append sample
+makes calls of `values_per_call` 64-byte records each (1, or 100 as the
+server's append of a full client batch does) and divides by the number of
+records appended. A poll sample makes polls by one consumer that each take
+`max_records` records from a log filled beforehand (untimed) and divides by
+the number of polls; an at-least-once poll therefore commits the previous
+batch and leases the next one, as a consumer does in steady state. The
+configurations take one sample each in turn, in a rotating order, so that a
+slower spell of the machine weighs on every configuration alike. Each row is
+printed as one JSON object:
 
     {layer, metric, value, unit, params, reps, spread}
 
-where `value` is the median cost of one call and `spread` the distance
-between its quartiles over the median. Two more rows per log size N come
-from an at-least-once run: N distinct 64-byte records appended in batches of
-100, each batch followed by one poll capped at 500 by the only group, until
-all are delivered. `retained_records` is what the log still holds then, and
-`traced_bytes_per_appended_record` the memory `tracemalloc` still traces
-after the run, over N. No gate is applied.
+where `value` is the median cost of one appended record or one poll, and
+`spread` the distance between its quartiles over the median. Two more rows
+per log size N come from an at-least-once run: N distinct 64-byte records
+appended in calls of 100, each call followed by one poll capped at 500 by
+the only group, until all are delivered. `retained_records` is what the log
+still holds then, and `traced_bytes_per_appended_record` the memory
+`tracemalloc` still traces after the run, over N. No gate is applied.
 
     PYTHONPATH=src python3 tools/broker_cost.py [--reps 50] [--calls 200]
 """
@@ -34,28 +37,33 @@ from hybridflow.broker import Broker
 from hybridflow.model import ConsumerMode
 
 VALUE = b"x" * 64
+APPEND_BATCHES = (1, 100)
 BATCHES = (1, 64)
-CONFIGS = [(None, None)] + [(mode, n) for mode in ConsumerMode for n in BATCHES]
+# (None, n): append calls of n values each; (mode, n): polls of up to n records
+CONFIGS = ([(None, n) for n in APPEND_BATCHES]
+           + [(mode, n) for mode in ConsumerMode for n in BATCHES])
 RETAINED_N = (10_000, 100_000)
 MEMORY_REPS = 3
 
 
-def sample_us(mode: ConsumerMode | None, max_records: int | None, calls: int) -> float:
-    """Microseconds per call over `calls` appends (mode None) or polls."""
+def sample_us(mode: ConsumerMode | None, n: int, calls: int) -> float:
+    """Microseconds per record over `calls` appends of n values (mode None),
+    or per poll of up to n records."""
     broker = Broker()
     broker.create_topic("t")
     if mode is None:
+        values = [VALUE] * n
         start = time.perf_counter()
         for _ in range(calls):
-            broker.append("t", VALUE)
-        return (time.perf_counter() - start) * 1e6 / calls
-    for _ in range(calls * max_records):
+            broker.append("t", *values)
+        return (time.perf_counter() - start) * 1e6 / (calls * n)
+    for _ in range(calls * n):
         broker.append("t", VALUE)
     start = time.perf_counter()
     for _ in range(calls):
-        broker.poll("t", "g", "c", mode, max_records)
+        broker.poll("t", "g", "c", mode, n)
     elapsed = time.perf_counter() - start
-    if broker.pending("t", "g") != (max_records if mode is ConsumerMode.AT_LEAST_ONCE else 0):
+    if broker.pending("t", "g") != (n if mode is ConsumerMode.AT_LEAST_ONCE else 0):
         raise RuntimeError(f"{mode.value} polls left records behind")
     return elapsed * 1e6 / calls
 
@@ -70,8 +78,8 @@ def drained_log(n: int) -> tuple[int, int]:
         broker.create_topic("t")
         delivered = 0
         for start in range(0, n, 100):
-            for seq in range(start, min(start + 100, n)):
-                broker.append("t", seq.to_bytes(4, "big") + VALUE[4:])
+            broker.append("t", *(seq.to_bytes(4, "big") + VALUE[4:]
+                                 for seq in range(start, min(start + 100, n))))
             delivered += len(broker.poll("t", "g", "c", alo, 500))
         while delivered < n:
             delivered += len(broker.poll("t", "g", "c", alo, 500))
@@ -99,11 +107,11 @@ def main() -> int:
         for k in range(len(CONFIGS)):
             i = (rep + k) % len(CONFIGS)
             samples[i].append(sample_us(*CONFIGS[i], args.calls))
-    for (mode, max_records), times in zip(CONFIGS, samples):
+    for (mode, n), times in zip(CONFIGS, samples):
         if mode is None:
-            metric, params = "append_us", {}
+            metric, params = "append_us_per_record", {"values_per_call": n}
         else:
-            metric, params = "poll_us", {"mode": mode.value, "max_records": max_records}
+            metric, params = "poll_us", {"mode": mode.value, "max_records": n}
         print(row(metric, times, "us", {**params, "calls": args.calls}))
     for n in RETAINED_N:
         runs = [drained_log(n) for _ in range(MEMORY_REPS)]
